@@ -16,10 +16,11 @@
 // EXPERIMENTS run gates at 3). BENCH_shard.json is emitted (override with
 // MTH_SHARD_JSON); tools/perf_smoke.sh checks its schema at reduced scale.
 //
-// Why sharding wins wall-clock even on one core: the dense-LU LP
-// factorization behind every B&B node is cubic in the row count, so B band
-// subproblems of ~1/B the rows are far cheaper than one monolithic tree —
-// the speedup is algorithmic, not thread-count-dependent.
+// Why sharding wins wall-clock even on one core: the B&B tree grows
+// exponentially with the instance and every node LP costs more as the row
+// count grows, so B band subproblems of ~1/B the rows are far cheaper than
+// one monolithic tree — the speedup is algorithmic, not
+// thread-count-dependent.
 
 #include <cmath>
 #include <cstdlib>

@@ -1,11 +1,19 @@
 #pragma once
 // Bounded-variable revised simplex.
 //
-// Two-phase method with explicit artificial variables (big-M-free), dense LU
+// Two-phase method with explicit artificial variables (big-M-free), sparse LU
 // basis factorization with product-form (eta) updates, Dantzig pricing with
 // a Bland's-rule anti-cycling fallback. Designed for the RAP ILP relaxations
 // (a few hundred rows, 10^3-10^5 very sparse columns) as the drop-in
 // replacement for CPLEX's LP core (DESIGN.md §2).
+//
+// The basis LU (src/lp/lu.hpp) is refactorized every
+// Options::refactor_interval pivots. It stores only the nonzeros of L and U
+// — RAP bases are mostly slack and assignment columns, and at paper scale
+// (aes_360, m = 848) the factors hold 3.7% of m^2 — so FTRAN/BTRAN, two or
+// three per pivot, cost O(fill) instead of O(m^2). It picks the pivots of
+// dense partial pivoting and accumulates in the dense loops' order, so its
+// results equal a dense LU's bit for bit.
 //
 // Warm-basis re-solves: an Optimal solve exports its basis (basic variable
 // per row + nonbasic bound status per structural/slack variable). A later

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "lu.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
 #include "mth/util/log.hpp"
@@ -22,100 +24,6 @@ const char* to_string(Status s) {
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Dense LU with partial pivoting (PA = LU), used to factorize the basis.
-// ---------------------------------------------------------------------------
-class DenseLu {
- public:
-  /// Factorize an n x n row-major matrix in place. Returns false if singular.
-  bool factorize(std::vector<double> a, int n, double tol) {
-    n_ = n;
-    a_ = std::move(a);
-    perm_.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) perm_[static_cast<std::size_t>(i)] = i;
-    for (int k = 0; k < n; ++k) {
-      // Partial pivot: largest |a[i][k]| for i >= k.
-      int piv = k;
-      double best = std::abs(at(k, k));
-      for (int i = k + 1; i < n; ++i) {
-        const double v = std::abs(at(i, k));
-        if (v > best) {
-          best = v;
-          piv = i;
-        }
-      }
-      if (best <= tol) return false;
-      if (piv != k) {
-        for (int j = 0; j < n; ++j) std::swap(at(k, j), at(piv, j));
-        std::swap(perm_[static_cast<std::size_t>(k)],
-                  perm_[static_cast<std::size_t>(piv)]);
-      }
-      const double inv = 1.0 / at(k, k);
-      for (int i = k + 1; i < n; ++i) {
-        const double l = at(i, k) * inv;
-        at(i, k) = l;
-        if (l != 0.0) {
-          for (int j = k + 1; j < n; ++j) at(i, j) -= l * at(k, j);
-        }
-      }
-    }
-    return true;
-  }
-
-  /// b := A^{-1} b.
-  void solve(std::vector<double>& b) const {
-    scratch_.resize(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i) {
-      scratch_[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
-    }
-    // Forward: L y = Pb (L unit lower triangular).
-    for (int i = 1; i < n_; ++i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = 0; j < i; ++j) s -= at(i, j) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s;
-    }
-    // Backward: U x = y.
-    for (int i = n_ - 1; i >= 0; --i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = i + 1; j < n_; ++j) s -= at(i, j) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s / at(i, i);
-    }
-    b = scratch_;
-  }
-
-  /// b := A^{-T} b.  (A^T = U^T L^T P  =>  y = P^T (L^T \ (U^T \ b))).
-  void solve_transpose(std::vector<double>& b) const {
-    scratch_ = b;
-    // U^T y = b (forward, U^T lower triangular).
-    for (int i = 0; i < n_; ++i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = 0; j < i; ++j) s -= at(j, i) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s / at(i, i);
-    }
-    // L^T z = y (backward, unit diagonal).
-    for (int i = n_ - 1; i >= 0; --i) {
-      double s = scratch_[static_cast<std::size_t>(i)];
-      for (int j = i + 1; j < n_; ++j) s -= at(j, i) * scratch_[static_cast<std::size_t>(j)];
-      scratch_[static_cast<std::size_t>(i)] = s;
-    }
-    // Undo permutation: x = P^T z.
-    for (int i = 0; i < n_; ++i) {
-      b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
-          scratch_[static_cast<std::size_t>(i)];
-    }
-  }
-
- private:
-  double& at(int i, int j) { return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j)]; }
-  double at(int i, int j) const { return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j)]; }
-
-  int n_ = 0;
-  std::vector<double> a_;
-  std::vector<int> perm_;
-  mutable std::vector<double> scratch_;
-};
 
 // Product-form update: new basis = old * E, where E is identity with column
 // `pivot_row` replaced by `col` (the FTRAN'd entering column).
@@ -434,15 +342,22 @@ class Simplex {
   /// Returns false when the basis matrix is numerically singular (the caller
   /// then repairs the basis instead of aborting).
   bool refactorize() {
-    std::vector<double> dense(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_), 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const int j = basic_[static_cast<std::size_t>(i)];
-      for_col(j, [&](int row, double coef) {
-        dense[static_cast<std::size_t>(row) * static_cast<std::size_t>(m_) +
-              static_cast<std::size_t>(i)] = coef;
-      });
+    {
+      MTH_SPAN("lp/factorize");
+      MTH_COUNT("lp/factorizations", 1);
+      basis_cols_.ptr.assign(1, 0);
+      basis_cols_.idx.clear();
+      basis_cols_.val.clear();
+      for (int i = 0; i < m_; ++i) {
+        for_col(basic_[static_cast<std::size_t>(i)], [&](int row, double coef) {
+          basis_cols_.idx.push_back(row);
+          basis_cols_.val.push_back(coef);
+        });
+        basis_cols_.ptr.push_back(static_cast<int>(basis_cols_.idx.size()));
+      }
+      if (!lu_.factorize(basis_cols_, m_, 1e-11)) return false;
+      MTH_COUNT("lp/lu_nnz", static_cast<std::int64_t>(lu_.nnz()));
     }
-    if (!lu_.factorize(std::move(dense), m_, 1e-11)) return false;
     etas_.clear();
     recompute_basic_values();
     return true;
@@ -829,7 +744,8 @@ class Simplex {
   std::vector<double> lb_, ub_, rhs_, value_, art_sign_;
   std::vector<BasisState> state_;
   std::vector<int> basic_;
-  DenseLu lu_;
+  SparseView basis_cols_;  // basis columns in position order (refactorize)
+  detail::SparseLu lu_;
   std::vector<Eta> etas_;
   bool phase1_ = true;
   int iterations_ = 0;

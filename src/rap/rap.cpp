@@ -575,11 +575,12 @@ SubSolution solve_subproblem(const SubInstance& inst, const RapOptions& opt) {
     have_basis = true;
   }
   {
-    // Cut budget: the dense-LU basis factorization costs O(m^3), so the row
-    // count must stay bounded; a few hundred of the most-violated cuts close
-    // most of the gap (diminishing returns after that). The loop also shares
-    // the ILP wall-clock budget — root strengthening may use at most half of
-    // it, the remainder goes to branch & bound.
+    // Cut budget: every cut is a row of every node LP, and a few hundred of
+    // the most-violated cuts close most of the gap (diminishing returns after
+    // that). The budget is part of the model: changing it changes the rows,
+    // hence the pivots, the search and the golden results. The loop also
+    // shares the ILP wall-clock budget — root strengthening may use at most
+    // half of it, the remainder goes to branch & bound.
     const int kMaxCuts = std::min(500, 4 * nr + n_clusters);
     const int kMaxCutsPerRound = std::max(64, kMaxCuts / 4);
     const double cut_deadline = 0.5 * opt.ilp.time_limit_s;

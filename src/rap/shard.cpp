@@ -9,10 +9,11 @@
 // bit-identical at any MTH_THREADS and stable across repeated runs.
 //
 // Why it is faster than the whole-design solve on one core: branch & bound
-// cost is superlinear in instance size (the dense-LU LP factorization alone
-// is O(m^3) in the row count), so B small trees are much cheaper than one
-// monolithic tree over the union — the classic windowed-decomposition
-// trade-off of optimality-certificate strength for wall-clock.
+// cost is superlinear in instance size (the tree grows exponentially, and
+// each node LP needs more pivots, each costlier, as the row count grows),
+// so B small trees are much cheaper than one monolithic tree over the
+// union — the classic windowed-decomposition trade-off of
+// optimality-certificate strength for wall-clock.
 
 #include "mth/rap/rap.hpp"
 

@@ -5,12 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "mth/flows/flow.hpp"
 #include "mth/lp/model.hpp"
 #include "mth/lp/simplex.hpp"
+#include "mth/rap/rap.hpp"
 #include "mth/util/rng.hpp"
+#include "lu.hpp"
 
 namespace mth::lp {
 namespace {
@@ -508,6 +516,378 @@ TEST(DualCertificate, NoisyDualsStayValidLowerBound) {
     for (double& d : noisy.duals) d += rng.uniform_real(-0.5, 0.5);
     EXPECT_LE(dual_bound(m, noisy), r.objective + 1e-9) << "trial " << trial;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Factorization equivalence: the sparse basis LU against the dense LU it
+// replaced, kept here as the reference — verbatim apart from the lines
+// marked "not in the original", which record the singular step and count
+// the factors' nonzeros. Both must
+// pick the same pivots, report singularity at the same step, and solve to
+// the same bits (signs of zero included) on bases shaped like the RAP's:
+// slack-heavy, assignment columns with 1-3 nonzeros, dense linking columns,
+// and coefficients drawn from a few magnitudes so pivot ties are common.
+// ---------------------------------------------------------------------------
+class DenseLu {
+ public:
+  /// Factorize an n x n row-major matrix in place. Returns false if singular.
+  bool factorize(std::vector<double> a, int n, double tol) {
+    failed_step_ = -1;  // not in the original
+    n_ = n;
+    a_ = std::move(a);
+    perm_.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) perm_[static_cast<std::size_t>(i)] = i;
+    for (int k = 0; k < n; ++k) {
+      // Partial pivot: largest |a[i][k]| for i >= k.
+      int piv = k;
+      double best = std::abs(at(k, k));
+      for (int i = k + 1; i < n; ++i) {
+        const double v = std::abs(at(i, k));
+        if (v > best) {
+          best = v;
+          piv = i;
+        }
+      }
+      if (best <= tol) {
+        failed_step_ = k;  // not in the original
+        return false;
+      }
+      if (piv != k) {
+        for (int j = 0; j < n; ++j) std::swap(at(k, j), at(piv, j));
+        std::swap(perm_[static_cast<std::size_t>(k)],
+                  perm_[static_cast<std::size_t>(piv)]);
+      }
+      const double inv = 1.0 / at(k, k);
+      for (int i = k + 1; i < n; ++i) {
+        const double l = at(i, k) * inv;
+        at(i, k) = l;
+        if (l != 0.0) {
+          for (int j = k + 1; j < n; ++j) at(i, j) -= l * at(k, j);
+        }
+      }
+    }
+    return true;
+  }
+
+  /// b := A^{-1} b.
+  void solve(std::vector<double>& b) const {
+    scratch_.resize(static_cast<std::size_t>(n_));
+    for (int i = 0; i < n_; ++i) {
+      scratch_[static_cast<std::size_t>(i)] =
+          b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
+    }
+    // Forward: L y = Pb (L unit lower triangular).
+    for (int i = 1; i < n_; ++i) {
+      double s = scratch_[static_cast<std::size_t>(i)];
+      for (int j = 0; j < i; ++j) s -= at(i, j) * scratch_[static_cast<std::size_t>(j)];
+      scratch_[static_cast<std::size_t>(i)] = s;
+    }
+    // Backward: U x = y.
+    for (int i = n_ - 1; i >= 0; --i) {
+      double s = scratch_[static_cast<std::size_t>(i)];
+      for (int j = i + 1; j < n_; ++j) s -= at(i, j) * scratch_[static_cast<std::size_t>(j)];
+      scratch_[static_cast<std::size_t>(i)] = s / at(i, i);
+    }
+    b = scratch_;
+  }
+
+  /// b := A^{-T} b.  (A^T = U^T L^T P  =>  y = P^T (L^T \ (U^T \ b))).
+  void solve_transpose(std::vector<double>& b) const {
+    scratch_ = b;
+    // U^T y = b (forward, U^T lower triangular).
+    for (int i = 0; i < n_; ++i) {
+      double s = scratch_[static_cast<std::size_t>(i)];
+      for (int j = 0; j < i; ++j) s -= at(j, i) * scratch_[static_cast<std::size_t>(j)];
+      scratch_[static_cast<std::size_t>(i)] = s / at(i, i);
+    }
+    // L^T z = y (backward, unit diagonal).
+    for (int i = n_ - 1; i >= 0; --i) {
+      double s = scratch_[static_cast<std::size_t>(i)];
+      for (int j = i + 1; j < n_; ++j) s -= at(j, i) * scratch_[static_cast<std::size_t>(j)];
+      scratch_[static_cast<std::size_t>(i)] = s;
+    }
+    // Undo permutation: x = P^T z.
+    for (int i = 0; i < n_; ++i) {
+      b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
+          scratch_[static_cast<std::size_t>(i)];
+    }
+  }
+
+ public:
+  int failed_step() const { return failed_step_; }  // not in the original
+  std::size_t nonzeros() const {  // not in the original
+    return static_cast<std::size_t>(std::count_if(a_.begin(), a_.end(), [](double v) { return v != 0.0; }));
+  }
+
+ private:
+  double& at(int i, int j) { return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j)]; }
+  double at(int i, int j) const { return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j)]; }
+
+  int n_ = 0;
+  int failed_step_ = -1;  // not in the original
+  std::vector<double> a_;
+  std::vector<int> perm_;
+  mutable std::vector<double> scratch_;
+};
+
+struct TestBasis {
+  int n = 0;
+  SparseView cols;             // for detail::SparseLu
+  std::vector<double> dense;   // row-major, for DenseLu
+};
+
+TestBasis make_basis(int n, const std::vector<std::vector<std::pair<int, double>>>& cols) {
+  TestBasis b;
+  b.n = n;
+  b.cols.ptr.assign(1, 0);
+  b.dense.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
+  for (int k = 0; k < n; ++k) {
+    for (const auto& [row, v] : cols[static_cast<std::size_t>(k)]) {
+      b.cols.idx.push_back(row);
+      b.cols.val.push_back(v);
+      b.dense[static_cast<std::size_t>(row) * static_cast<std::size_t>(n) +
+              static_cast<std::size_t>(k)] = v;
+    }
+    b.cols.ptr.push_back(static_cast<int>(b.cols.idx.size()));
+  }
+  return b;
+}
+
+/// Random basis columns. Column k always holds row perm[k] of a random
+/// permutation, so the pattern admits a full pivot sequence; `slack_share`
+/// of the columns are signed unit columns, the rest assignment-like (1-3
+/// nonzeros), and the first `linking` columns touch about half the rows.
+/// With `ties`, magnitudes come from {1, 2} only.
+std::vector<std::vector<std::pair<int, double>>> random_columns(
+    Rng& rng, int n, double slack_share, int linking, bool ties) {
+  auto coef = [&] {
+    const double mag = ties ? static_cast<double>(rng.uniform_int(1, 2))
+                            : rng.uniform_real(0.05, 40.0);
+    return rng.uniform_int(0, 1) == 0 ? mag : -mag;
+  };
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  rng.shuffle(perm);
+  std::vector<std::vector<std::pair<int, double>>> cols(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    std::vector<int> rows{perm[static_cast<std::size_t>(k)]};
+    if (k < linking) {
+      for (int r = 0; r < n; ++r) {
+        if (r != rows[0] && rng.uniform_int(0, 1) == 0) rows.push_back(r);
+      }
+    } else if (rng.uniform_real(0.0, 1.0) >= slack_share) {
+      const int nnz = static_cast<int>(rng.uniform_int(1, std::min(3, n)));
+      while (static_cast<int>(rows.size()) < nnz) {
+        const int r = static_cast<int>(rng.uniform_int(0, n - 1));
+        if (std::find(rows.begin(), rows.end(), r) == rows.end()) rows.push_back(r);
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    for (int r : rows) cols[static_cast<std::size_t>(k)].emplace_back(r, coef());
+  }
+  // Linking columns go to random positions, as basis order is arbitrary.
+  rng.shuffle(cols);
+  return cols;
+}
+
+/// Right-hand sides the simplex feeds the factors: unit vectors (BTRAN of a
+/// row), sparse columns (FTRAN), cost-like vectors with many zeros, and
+/// vectors seeded with -0.0 (what an eta pass hands to BTRAN).
+std::vector<std::vector<double>> random_rhs(Rng& rng, int n) {
+  auto draw = [&](int from, int to) { return static_cast<int>(rng.uniform_int(from, to)); };
+  std::vector<std::vector<double>> out;
+  for (int t = 0; t < 10; ++t) {
+    std::vector<double> v(static_cast<std::size_t>(n), 0.0);
+    if (t < 2) {
+      v[static_cast<std::size_t>(draw(0, n - 1))] = t == 0 ? 1.0 : -1.0;
+    } else {
+      for (double& x : v) {
+        const int pick = draw(0, 9);
+        if (t < 6) {  // sparse; t >= 4 also seeds -0.0
+          x = pick == 0 ? rng.uniform_real(-5.0, 5.0) : (t >= 4 && pick < 5 ? -0.0 : 0.0);
+        } else {  // small integers among both zeros
+          x = pick < 3 ? -0.0 : (pick < 5 ? 0.0 : static_cast<double>(draw(-3, 3)));
+        }
+      }
+    }
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) return false;
+  }
+  return true;
+}
+
+/// Factorize with both; returns false (after checking the verdicts agree)
+/// when the basis is singular.
+bool factor_both(const TestBasis& b, DenseLu& dense, detail::SparseLu& sparse,
+                 const std::string& what) {
+  const bool dense_ok = dense.factorize(b.dense, b.n, 1e-11);
+  const bool sparse_ok = sparse.factorize(b.cols, b.n, 1e-11);
+  EXPECT_EQ(sparse_ok, dense_ok) << what;
+  EXPECT_EQ(sparse.singular_step(), dense.failed_step()) << what;
+  return dense_ok && sparse_ok;
+}
+
+void expect_same_solves(const DenseLu& dense,
+                        const detail::SparseLu& sparse,
+                        const std::vector<std::vector<double>>& rhs,
+                        const std::string& what) {
+  for (std::size_t t = 0; t < rhs.size(); ++t) {
+    std::vector<double> d = rhs[t], s = rhs[t];
+    dense.solve(d);
+    sparse.solve(s);
+    EXPECT_EQ(s, d) << what << " ftran rhs " << t;
+    EXPECT_TRUE(same_bits(s, d)) << what << " ftran rhs " << t;
+    d = rhs[t];
+    s = rhs[t];
+    dense.solve_transpose(d);
+    sparse.solve_transpose(s);
+    EXPECT_EQ(s, d) << what << " btran rhs " << t;
+    EXPECT_TRUE(same_bits(s, d)) << what << " btran rhs " << t;
+  }
+  EXPECT_EQ(sparse.nnz(), dense.nonzeros()) << what;
+}
+
+struct BasisShape {
+  const char* name;
+  double slack_share;
+  int linking;
+  bool ties;
+};
+
+TEST(SparseLu, MatchesDenseLuBitForBit) {
+  const BasisShape shapes[] = {
+      {"slack-heavy", 0.85, 0, false},
+      {"assignment", 0.2, 0, false},
+      {"linking", 0.5, 4, false},
+      {"ties", 0.5, 2, true},
+      {"ties-assignment", 0.1, 0, true},
+  };
+  Rng rng(20261016u);
+  int factored = 0;
+  for (const BasisShape& shape : shapes) {
+    DenseLu dense;
+    detail::SparseLu sparse;  // reused across bases, as the simplex does
+    for (int trial = 0; trial < 40; ++trial) {
+      const int n = static_cast<int>(rng.uniform_int(1, 90));
+      const TestBasis b = make_basis(
+          n, random_columns(rng, n, shape.slack_share, std::min(shape.linking, n), shape.ties));
+      const std::string what = std::string(shape.name) + " trial " + std::to_string(trial);
+      if (!factor_both(b, dense, sparse, what)) continue;
+      ++factored;
+      expect_same_solves(dense, sparse, random_rhs(rng, n), what);
+    }
+  }
+  EXPECT_GT(factored, 100);  // most draws must be nonsingular to mean much
+}
+
+TEST(SparseLu, SingularAtTheSameStep) {
+  Rng rng(7u);
+  DenseLu dense;
+  detail::SparseLu sparse;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(3, 60));
+    auto cols = random_columns(rng, n, 0.5, 1, trial % 2 == 0);
+    // Make one column a multiple of another (or empty): rank-deficient.
+    const int a = static_cast<int>(rng.uniform_int(0, n - 1));
+    int c = static_cast<int>(rng.uniform_int(0, n - 1));
+    if (c == a) c = (a + 1) % n;
+    auto& dup = cols[static_cast<std::size_t>(c)];
+    dup = cols[static_cast<std::size_t>(a)];
+    if (trial % 3 == 0) {
+      dup.clear();
+    } else {
+      for (auto& e : dup) e.second *= -2.0;
+    }
+    const TestBasis b = make_basis(n, cols);
+    const std::string what = "trial " + std::to_string(trial);
+    EXPECT_FALSE(factor_both(b, dense, sparse, what)) << what;
+    EXPECT_GE(sparse.singular_step(), 0) << what;
+    // The same solver object factorizes a nonsingular basis afterwards.
+    const TestBasis ok = make_basis(n, random_columns(rng, n, 1.0, 0, false));
+    if (factor_both(ok, dense, sparse, what + " refactor")) {
+      expect_same_solves(dense, sparse, random_rhs(rng, n), what + " refactor");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Solve-level pin: the RAP root LP that aes_360 at scale 0.04 exports in its
+// certificate, solved cold, warm from the certificate's round-0 basis (the
+// appended linking cuts enter with their slacks basic), and warm after one
+// branching bound change. Pivot counts, objective bits and a hash of every
+// primal and dual bit (signs of zero included) are the values the dense LU
+// factorization produced; a different pivot sequence or a single differing
+// bit in a factor solve shows here.
+// ---------------------------------------------------------------------------
+std::uint64_t fnv_bits(std::uint64_t h, const std::vector<double>& v) {
+  for (double d : v) {
+    h ^= std::bit_cast<std::uint64_t>(d);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Pin {
+  int iterations;
+  int dual_iterations;
+  std::uint64_t objective_bits;
+  std::uint64_t solution_hash;
+};
+
+Pin pin_of(const Result& r) {
+  const std::uint64_t h = fnv_bits(fnv_bits(14695981039346656037ull, r.x), r.duals);
+  return {r.iterations, r.dual_iterations, std::bit_cast<std::uint64_t>(r.objective), h};
+}
+
+void expect_pin(const Result& r, const Pin& want, const char* what) {
+  ASSERT_EQ(r.status, Status::Optimal) << what;
+  const Pin got = pin_of(r);
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_EQ(got.dual_iterations, want.dual_iterations) << what;
+  EXPECT_EQ(got.objective_bits, want.objective_bits)
+      << what << ": objective " << r.objective;
+  EXPECT_EQ(got.solution_hash, want.solution_hash) << what;
+}
+
+TEST(SimplexPin, Aes360RootLpMatchesDenseLuBitForBit) {
+  flows::FlowOptions opt;
+  opt.scale = 0.04;
+  const flows::PreparedCase pc =
+      flows::prepare_case(synth::spec_by_name("aes_360"), opt);
+  rap::RapOptions ro = opt.rap;
+  ro.n_min_pairs = pc.n_min_pairs;
+  ro.width_library = pc.original_library.get();
+  const rap::RapResult rr = rap::solve_rap(pc.initial, ro);
+  ASSERT_NE(rr.certificate, nullptr);
+  Model model = rr.certificate->model;
+
+  const Result cold = solve(model, ro.ilp.lp);
+  expect_pin(cold, {137, 0, 0x40e9c2654e25b9f1ull, 0x68501d79794fa6d7ull}, "cold");
+  const Result cut_warm = solve(model, ro.ilp.lp, &rr.certificate->root_basis);
+  EXPECT_TRUE(cut_warm.warm_used);
+  expect_pin(cut_warm, {43, 43, 0x40e9c2654e25b9f0ull, 0xf597a5c046a0ccb9ull},
+             "warm from round 0");
+
+  // Branch down on the lowest-index fractional variable.
+  int branch = -1;
+  for (int j = 0; j < model.num_vars() && branch < 0; ++j) {
+    const double v = cold.x[static_cast<std::size_t>(j)];
+    if (std::abs(v - std::round(v)) > 1e-6) branch = j;
+  }
+  ASSERT_GE(branch, 0);
+  model.set_bounds(branch, model.lb(branch),
+                   std::floor(cold.x[static_cast<std::size_t>(branch)]));
+  const Result child = solve(model, ro.ilp.lp, &cold.basis);
+  EXPECT_TRUE(child.warm_used);
+  expect_pin(child, {6, 6, 0x40ea36101a2ee4c7ull, 0x23a644753a5a53c6ull},
+             "branch-down child");
 }
 
 }  // namespace
