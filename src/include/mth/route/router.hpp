@@ -7,6 +7,16 @@
 // present + history costs. Outputs per-net routed length and the tree
 // topology (parent/edge-length arrays) the Elmore STA consumes.
 //
+// The reroute's maze search is Dijkstra bounded by A*-style pruning: a
+// relaxation is dropped when its distance plus a lower bound to the target
+// (the cheapest current edge of every column and row gap still to cross)
+// exceeds an upper bound (the cheapest of the edge's previous route and its
+// two L paths). It pops in Dijkstra's (distance, node id) order, so its
+// routes equal plain Dijkstra's bit for bit. That needs finite, non-negative
+// edge costs, which route_design guarantees by rejecting (mth::Error)
+// layers_per_dir <= 0, a wire_pitch that is not positive and finite, and a
+// history_increment that is negative or not finite.
+//
 // Absolute wirelength will differ from a commercial detailed router, but the
 // placement-quality ordering between flows — what Table V compares — is
 // preserved: longer HPWL means longer MST paths and more congestion detour.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
+#include <cstdint>
 #include <vector>
 
+#include "maze.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
 #include "mth/util/log.hpp"
@@ -13,18 +13,19 @@
 namespace mth::route {
 namespace {
 
-struct GridPt {
-  int x = 0, y = 0;
-  friend bool operator==(const GridPt&, const GridPt&) = default;
-};
+using detail::GridPt;
+using detail::Seg;
 
 /// Routing grid with per-edge usage/history (PathFinder-style costs).
 class Grid {
  public:
   Grid(const Rect& core, Dbu gcell, double cap_per_dir)
-      : core_(core), gcell_(gcell), cap_(cap_per_dir) {
-    nx_ = std::max<int>(2, static_cast<int>((core.width() + gcell - 1) / gcell));
-    ny_ = std::max<int>(2, static_cast<int>((core.height() + gcell - 1) / gcell));
+      : core_(core),
+        gcell_(gcell),
+        cap_(cap_per_dir),
+        nx_(std::max<int>(2, static_cast<int>((core.width() + gcell - 1) / gcell))),
+        ny_(std::max<int>(2, static_cast<int>((core.height() + gcell - 1) / gcell))),
+        costs_(nx_, ny_, cost_of(0.0, 0.0)) {
     usage_h_.assign(static_cast<std::size_t>(nx_ - 1) * static_cast<std::size_t>(ny_), 0.0);
     usage_v_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_ - 1), 0.0);
     hist_h_.assign(usage_h_.size(), 0.0);
@@ -51,24 +52,29 @@ class Grid {
            static_cast<std::size_t>(x);
   }
 
-  double edge_cost(bool horiz, std::size_t id) const {
-    const double u = horiz ? usage_h_[id] : usage_v_[id];
-    const double h = horiz ? hist_h_[id] : hist_v_[id];
-    const double over = std::max(0.0, (u + 1.0 - cap_) / cap_);
-    return 1.0 + 12.0 * over + h;
-  }
+  /// Cost of taking one more track on the edge: kept in step with every
+  /// usage and history change.
+  double edge_cost(bool horiz, std::size_t id) const { return costs_.cost(horiz, id); }
+  const detail::EdgeCosts& costs() const { return costs_; }
 
   void add_usage(bool horiz, std::size_t id, double delta) {
     double& u = horiz ? usage_h_[id] : usage_v_[id];
     u += delta;
+    costs_.set(horiz, id, cost_of(u, (horiz ? hist_h_ : hist_v_)[id]));
   }
 
   void bump_history(double inc) {
     for (std::size_t i = 0; i < usage_h_.size(); ++i) {
-      if (usage_h_[i] > cap_) hist_h_[i] += inc * (usage_h_[i] - cap_) / cap_;
+      if (usage_h_[i] > cap_) {
+        hist_h_[i] += inc * (usage_h_[i] - cap_) / cap_;
+        costs_.set(true, i, cost_of(usage_h_[i], hist_h_[i]));
+      }
     }
     for (std::size_t i = 0; i < usage_v_.size(); ++i) {
-      if (usage_v_[i] > cap_) hist_v_[i] += inc * (usage_v_[i] - cap_) / cap_;
+      if (usage_v_[i] > cap_) {
+        hist_v_[i] += inc * (usage_v_[i] - cap_) / cap_;
+        costs_.set(false, i, cost_of(usage_v_[i], hist_v_[i]));
+      }
     }
   }
 
@@ -92,21 +98,23 @@ class Grid {
   }
 
  private:
+  /// Present congestion plus history (PathFinder): 1 + 12 * over + history.
+  double cost_of(double u, double h) const {
+    const double over = std::max(0.0, (u + 1.0 - cap_) / cap_);
+    return 1.0 + 12.0 * over + h;
+  }
+
   Rect core_;
   Dbu gcell_;
   double cap_;
   int nx_, ny_;
   std::vector<double> usage_h_, usage_v_, hist_h_, hist_v_;
+  detail::EdgeCosts costs_;
 };
 
-/// One committed grid segment of a net path.
-struct Seg {
-  bool horiz;
-  std::size_t id;
-};
-
-/// L-path edges between two grid points, bend at (via `bend_at_b_x`): either
-/// horizontal-then-vertical or vertical-then-horizontal.
+/// L-path edges between two grid points: horizontal along a's row then
+/// vertical along b's column when `horiz_first`, else vertical along a's
+/// column then horizontal along b's row.
 void l_path(const Grid& g, GridPt a, GridPt b, bool horiz_first,
             std::vector<Seg>& out) {
   out.clear();
@@ -127,61 +135,6 @@ double path_cost(const Grid& g, const std::vector<Seg>& segs) {
   return c;
 }
 
-/// Dijkstra maze route between grid points; returns segments and step count.
-bool maze_route(const Grid& g, GridPt a, GridPt b, std::vector<Seg>& out) {
-  const int nx = g.nx(), ny = g.ny();
-  const std::size_t nn = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-  std::vector<double> dist(nn, std::numeric_limits<double>::max());
-  std::vector<int> prev(nn, -1);
-  auto id_of = [&](int x, int y) {
-    return static_cast<std::size_t>(y) * static_cast<std::size_t>(nx) +
-           static_cast<std::size_t>(x);
-  };
-  using QE = std::pair<double, std::size_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[id_of(a.x, a.y)] = 0.0;
-  pq.push({0.0, id_of(a.x, a.y)});
-  const std::size_t target = id_of(b.x, b.y);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == target) break;
-    const int ux = static_cast<int>(u % static_cast<std::size_t>(nx));
-    const int uy = static_cast<int>(u / static_cast<std::size_t>(nx));
-    auto relax = [&](int vx, int vy, bool horiz, std::size_t eid) {
-      const double nd = d + g.edge_cost(horiz, eid);
-      const std::size_t v = id_of(vx, vy);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        prev[v] = static_cast<int>(u);
-        pq.push({nd, v});
-      }
-    };
-    if (ux > 0) relax(ux - 1, uy, true, g.h_edge(ux - 1, uy));
-    if (ux + 1 < nx) relax(ux + 1, uy, true, g.h_edge(ux, uy));
-    if (uy > 0) relax(ux, uy - 1, false, g.v_edge(ux, uy - 1));
-    if (uy + 1 < ny) relax(ux, uy + 1, false, g.v_edge(ux, uy));
-  }
-  if (dist[target] == std::numeric_limits<double>::max()) return false;
-  out.clear();
-  std::size_t cur = target;
-  while (prev[cur] >= 0) {
-    const std::size_t p = static_cast<std::size_t>(prev[cur]);
-    const int cx = static_cast<int>(cur % static_cast<std::size_t>(nx));
-    const int cy = static_cast<int>(cur / static_cast<std::size_t>(nx));
-    const int px = static_cast<int>(p % static_cast<std::size_t>(nx));
-    const int py = static_cast<int>(p / static_cast<std::size_t>(nx));
-    if (cy == py) {
-      out.push_back({true, g.h_edge(std::min(cx, px), cy)});
-    } else {
-      out.push_back({false, g.v_edge(cx, std::min(cy, py))});
-    }
-    cur = p;
-  }
-  return true;
-}
-
 struct EdgeRoute {
   int child_pin;       ///< index into Net::pins
   int parent_pin;
@@ -193,6 +146,12 @@ struct EdgeRoute {
 
 RouteResult route_design(const Design& design, const RouterOptions& opt) {
   MTH_SPAN("route/global");
+  // The maze search needs finite, non-negative edge costs.
+  MTH_ASSERT(opt.layers_per_dir > 0, "router: layers_per_dir must be positive");
+  MTH_ASSERT(opt.wire_pitch > 0.0 && std::isfinite(opt.wire_pitch),
+             "router: wire_pitch must be positive and finite");
+  MTH_ASSERT(opt.history_increment >= 0.0 && std::isfinite(opt.history_increment),
+             "router: history_increment must be non-negative and finite");
   const Floorplan& fp = design.floorplan;
   const Tech& tech = design.library->tech();
   const Dbu gcell = opt.gcell_size > 0
@@ -280,6 +239,9 @@ RouteResult route_design(const Design& design, const RouterOptions& opt) {
   }
 
   // Rip-up & reroute passes over nets touching overflowed edges.
+  detail::MazeSearch maze;
+  std::int64_t maze_searches = 0, nets_rerouted = 0;
+  std::vector<Seg> l_hv, l_vh;
   for (int pass = 0; pass < opt.ripup_passes; ++pass) {
     if (grid.count_overflow(nullptr) == 0) break;
     grid.bump_history(opt.history_increment);
@@ -307,7 +269,14 @@ RouteResult route_design(const Design& design, const RouterOptions& opt) {
         std::vector<Seg> path;
         const GridPt a = grid.locate(pins[static_cast<std::size_t>(er.parent_pin)]);
         const GridPt b = grid.locate(pins[static_cast<std::size_t>(er.child_pin)]);
-        if (maze_route(grid, a, b, path)) {
+        // Upper bound for the search: the cheapest of the previous route and
+        // the two L paths, each costed on the current grid.
+        l_path(grid, a, b, true, l_hv);
+        l_path(grid, a, b, false, l_vh);
+        const double ub = std::min(
+            {path_cost(grid, er.segs), path_cost(grid, l_hv), path_cost(grid, l_vh)});
+        ++maze_searches;
+        if (maze.route(grid.costs(), a, b, ub, path)) {
           const Dbu straight = manhattan(pins[static_cast<std::size_t>(er.parent_pin)],
                                          pins[static_cast<std::size_t>(er.child_pin)]);
           const Dbu grid_len = static_cast<Dbu>(path.size()) * gcell;
@@ -319,10 +288,14 @@ RouteResult route_design(const Design& design, const RouterOptions& opt) {
       }
       ++rerouted;
     }
+    nets_rerouted += rerouted;
     MTH_DEBUG << "route pass " << pass << ": rerouted " << rerouted << " nets, "
               << grid.count_overflow(nullptr) << " edges overflowed";
     if (rerouted == 0) break;
   }
+  MTH_COUNT("route/maze_searches", maze_searches);
+  MTH_COUNT("route/maze_pops", maze.pops());
+  MTH_COUNT("route/nets_rerouted", nets_rerouted);
 
   // Collect lengths.
   for (NetId nid = 0; nid < num_nets; ++nid) {
