@@ -85,14 +85,16 @@ done
 # Trace-summary determinism: a traced Flow (5) run must produce the same
 # canonical summary (span names, span counts, counter values — timings
 # stripped) at MTH_THREADS=1 and 8. The fixed chunk geometry of the parallel
-# layer is exactly what makes this hold.
+# layer is exactly what makes this hold. The run includes routing, STA and
+# CTS, so their spans and counters (route/maze_pops, ...) are diffed and
+# checked against the registry too.
 if [[ -x "$BUILD_DIR/tools/mth_flow" ]] && command -v python3 > /dev/null; then
   SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
   echo "[determinism] mth_flow trace summary: MTH_THREADS=1 vs 8 ..."
   for n in 1 8; do
     MTH_THREADS=$n "$BUILD_DIR/tools/mth_flow" --testcase aes_360 --flow 5 \
-      --scale 0.05 --ilp-seconds 5 --trace-summary "$TMP/summary.$n.json" \
-      > /dev/null
+      --scale 0.05 --ilp-seconds 5 --route \
+      --trace-summary "$TMP/summary.$n.json" > /dev/null
     python3 "$SCRIPT_DIR/trace_schema_check.py" \
       --registry "$SCRIPT_DIR/trace_spans.json" \
       --canonical "$TMP/summary.$n.json" > "$TMP/summary.$n.canon"
