@@ -1,5 +1,8 @@
 #pragma once
 // Local wirelength polish on a legal placement.
+//
+// Each call adds the candidate swaps it evaluated to the trace counter
+// legal/polish_candidates and the swaps it kept to legal/polish_accepted.
 
 #include "mth/db/design.hpp"
 
