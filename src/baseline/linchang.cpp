@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "mth/cluster/kmeans.hpp"
+#include "mth/legal/pairlookup.hpp"
 #include "mth/util/error.hpp"
 #include "mth/util/log.hpp"
 
@@ -121,44 +122,15 @@ legal::AbacusResult legalize_with_assignment(
       if (p < 0) continue;
       Instance& inst = design.netlist.instance((*bound_cells)[k]);
       const Dbu yc = inst.pos.y + design.master_of((*bound_cells)[k]).height / 2;
-      const Row& lower = fp.pair_lower(p);
-      const Row& upper = fp.pair_upper(p);
-      inst.pos.y = (std::llabs(lower.y_center() - yc) <=
-                    std::llabs(upper.y_center() - yc))
-                       ? lower.y
-                       : upper.y;
+      inst.pos.y = legal::nearer_row_y(fp, p, yc);
     }
   }
   // Seed every cell whose current pair class mismatches onto the nearest
   // admissible pair ("move the cells to fit into rows with corresponding
   // track-heights"): unbound minority cells and, crucially, majority cells
   // evicted from freshly chosen minority pairs.
-  {
-    const Floorplan& fp = design.floorplan;
-    for (InstId i = 0; i < design.netlist.num_instances(); ++i) {
-      Instance& inst = design.netlist.instance(i);
-      const bool minority = design.is_minority(i);
-      const Dbu yc = inst.pos.y + design.master_of(i).height / 2;
-      if (assignment.is_minority_pair(fp.row_at_y(yc) / 2) == minority) continue;
-      int best = -1;
-      Dbu best_d = INT64_MAX;
-      for (int p = 0; p < fp.num_pairs(); ++p) {
-        if (assignment.is_minority_pair(p) != minority) continue;
-        const Dbu d = std::llabs(fp.pair_y_center(p) - yc);
-        if (d < best_d) {
-          best_d = d;
-          best = p;
-        }
-      }
-      if (best < 0) continue;
-      const Row& lower = fp.pair_lower(best);
-      const Row& upper = fp.pair_upper(best);
-      inst.pos.y = (std::llabs(lower.y_center() - yc) <=
-                    std::llabs(upper.y_center() - yc))
-                       ? lower.y
-                       : upper.y;
-    }
-  }
+  legal::seed_admissible_pairs(design, assignment,
+                               legal::PairLookup(design.floorplan, assignment));
 
   legal::AbacusOptions opt;
   const Design* dp = &design;

@@ -1,31 +1,27 @@
 #include "mth/db/incremental_hpwl.hpp"
 
-#include "mth/db/metrics.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
 
 namespace mth::db {
 
-IncrementalHpwl::IncrementalHpwl(Design& design) : design_(&design) {
+IncrementalHpwl::IncrementalHpwl(Design& design)
+    : design_(&design), pins_(design) {
   MTH_SPAN("kernel/ihpwl_build");
   rebuild();
 }
 
 void IncrementalHpwl::rebuild() {
-  const Netlist& nl = design_->netlist;
-  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+  const auto num_nets = static_cast<std::size_t>(pins_.num_nets());
   box_.assign(num_nets, BBox{});
   hp_.assign(num_nets, 0);
   seen_.assign(num_nets, 0);
   stamp_ = 0;
   total_ = 0;
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const Net& net = nl.net(n);
-    if (net.is_clock) continue;  // matches net_hpwl's ideal-clock exclusion
+  for (NetId n = 0; n < pins_.num_nets(); ++n) {
+    if (pins_.is_clock(n)) continue;  // matches net_hpwl's ideal-clock exclusion
     BBox& bb = box_[static_cast<std::size_t>(n)];
-    for (const PinRef& ref : net.pins) {
-      bb.add(nl.pin_position(ref, *design_->library));
-    }
+    for (const PinTable::Pin& pin : pins_.pins(n)) bb.add(pins_.position(pin));
     const Dbu hp = bb.half_perimeter();
     hp_[static_cast<std::size_t>(n)] = hp;
     total_ += hp;
@@ -34,13 +30,7 @@ void IncrementalHpwl::rebuild() {
   frames_.clear();
 }
 
-Dbu IncrementalHpwl::recompute_net(NetId n) const {
-  // Same scan as metrics.cpp net_hpwl, against the engine's design.
-  return net_hpwl(*design_, n);
-}
-
 Dbu IncrementalHpwl::apply_move(InstId inst, Point new_pos) {
-  const Netlist& nl = design_->netlist;
   Instance& moved = design_->netlist.instance(inst);
   const Point old_pos = moved.pos;
   const Point delta = new_pos - old_pos;
@@ -51,13 +41,12 @@ Dbu IncrementalHpwl::apply_move(InstId inst, Point new_pos) {
   if (delta == Point{}) return total_;
 
   ++stamp_;
-  const auto& uses = nl.inst_uses()[static_cast<std::size_t>(inst)];
-  for (const InstUse& u : uses) {
+  for (const InstUse& u : pins_.uses(inst)) {
     const auto ni = static_cast<std::size_t>(u.net);
     if (seen_[ni] == stamp_) continue;  // several pins of inst on this net
     seen_[ni] = stamp_;
-    const Net& net = nl.net(u.net);
-    if (net.is_clock) continue;
+    if (pins_.is_clock(u.net)) continue;
+    const auto net = pins_.pins(u.net);
     saves_.push_back({u.net, box_[ni], hp_[ni]});
 
     // Fast path: if every pin of `inst` on this net was strictly interior to
@@ -65,9 +54,9 @@ Dbu IncrementalHpwl::apply_move(InstId inst, Point new_pos) {
     // the new box is the old box extended by the new pin positions.
     bool interior = true;
     BBox bb = box_[ni];
-    for (const PinRef& ref : net.pins) {
-      if (ref.inst != inst) continue;
-      const Point np = nl.pin_position(ref, *design_->library);
+    for (const PinTable::Pin& pin : net) {
+      if (pin.inst != inst) continue;
+      const Point np = pins_.position(pin);
       const Point op = np - delta;
       if (op.x <= bb.xmin || op.x >= bb.xmax || op.y <= bb.ymin ||
           op.y >= bb.ymax) {
@@ -77,9 +66,8 @@ Dbu IncrementalHpwl::apply_move(InstId inst, Point new_pos) {
     }
     Dbu hp;
     if (interior) {
-      for (const PinRef& ref : net.pins) {
-        if (ref.inst != inst) continue;
-        bb.add(nl.pin_position(ref, *design_->library));
+      for (const PinTable::Pin& pin : net) {
+        if (pin.inst == inst) bb.add(pins_.position(pin));
       }
       hp = bb.half_perimeter();
       box_[ni] = bb;
@@ -88,9 +76,7 @@ Dbu IncrementalHpwl::apply_move(InstId inst, Point new_pos) {
       ++recomputes_;
       MTH_COUNT("kernel/ihpwl_recomputes", 1);
       BBox fresh;
-      for (const PinRef& ref : net.pins) {
-        fresh.add(nl.pin_position(ref, *design_->library));
-      }
+      for (const PinTable::Pin& pin : net) fresh.add(pins_.position(pin));
       hp = fresh.half_perimeter();
       box_[ni] = fresh;
     }

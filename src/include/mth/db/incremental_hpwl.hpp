@@ -4,7 +4,8 @@
 // of total_hpwl(). Exactness contract: after any sequence of apply_move /
 // revert / sync_with calls, total() == total_hpwl(design) bit-for-bit —
 // everything is integer Dbu arithmetic on the same pin positions metrics.cpp
-// scans, including the clock-net exclusion (property-tested in db_test).
+// scans (read through a db::PinTable built with the engine), including the
+// clock-net exclusion (property-tested in db_test).
 //
 // The fast path extends a net's bbox when every moved pin's old position was
 // strictly inside it on both axes (removal can't shrink the box, so the new
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "mth/db/design.hpp"
+#include "mth/db/pintable.hpp"
 
 namespace mth::db {
 
@@ -32,8 +34,13 @@ class IncrementalHpwl {
   /// pointer to `design` and owns position updates for instances it moves:
   /// callers mutate through apply_move, or mutate externally and re-sync
   /// with sync_with(). `design` must outlive the engine; structural netlist
-  /// edits (add_*/connect) invalidate it entirely — rebuild instead.
+  /// edits (add_*/connect) and master changes invalidate it entirely —
+  /// rebuild instead.
   explicit IncrementalHpwl(Design& design);
+
+  /// The engine's pin table, for callers that read pin positions of the
+  /// same design.
+  const PinTable& pins() const { return pins_; }
 
   /// Current total HPWL; equals total_hpwl(*design) at all times.
   Dbu total() const { return total_; }
@@ -68,9 +75,9 @@ class IncrementalHpwl {
   };
 
   void rebuild();
-  Dbu recompute_net(NetId n) const;
 
   Design* design_ = nullptr;
+  PinTable pins_;
   std::vector<BBox> box_;       // per net; unused for clock nets
   std::vector<Dbu> hp_;         // cached half-perimeter; 0 for clock nets
   Dbu total_ = 0;

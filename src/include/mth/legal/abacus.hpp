@@ -23,10 +23,11 @@ struct AbacusOptions {
   /// Extra admission predicate (cell, row index) — the row-assignment-aware
   /// legalizations restrict minority cells to minority rows through this.
   std::function<bool(InstId, int)> row_filter;
-  /// Relative weight of vertical displacement in row selection.
+  /// Relative weight of vertical displacement in row selection; finite and
+  /// non-negative.
   double y_weight = 1.0;
   /// Initial row search window (rows above/below the target), doubled until
-  /// a feasible row is found.
+  /// a feasible row is found; at least 1.
   int initial_row_window = 4;
 };
 
@@ -38,6 +39,7 @@ struct AbacusResult {
 
 /// Legalize the design in place: every cell lands on a site inside a row
 /// (height-compatible; track-height-compatible when requested), no overlaps.
+/// Throws mth::Error for options outside their documented ranges.
 AbacusResult abacus_legalize(Design& design, const AbacusOptions& options = {});
 
 }  // namespace mth::legal

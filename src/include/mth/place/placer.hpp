@@ -14,7 +14,7 @@
 namespace mth::place {
 
 struct GlobalPlaceOptions {
-  int max_iterations = 32;        ///< QP/spreading alternations
+  int max_iterations = 32;        ///< QP/spreading alternations; at least 1
   double target_overflow = 0.07;  ///< stop when overflow ratio drops below
   double anchor_weight = 0.012;   ///< initial pseudo-net weight
   double anchor_growth = 1.45;    ///< multiplicative growth per iteration
@@ -33,7 +33,7 @@ void build_uniform_floorplan(Design& design, double utilization,
 
 /// Run global placement. On return every instance has a (possibly
 /// overlapping) position with its center inside the core; call the legalizer
-/// to snap to rows/sites.
+/// to snap to rows/sites. Throws mth::Error when max_iterations < 1.
 void global_place(Design& design, const GlobalPlaceOptions& options = {});
 
 /// Density overflow ratio of the current placement over a bin grid:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "mth/util/error.hpp"
@@ -94,6 +94,10 @@ void commit_append(RowState& rs, const Row& row, InstId cell, double target_x,
 }  // namespace
 
 AbacusResult abacus_legalize(Design& design, const AbacusOptions& opt) {
+  MTH_ASSERT(opt.initial_row_window >= 1,
+             "abacus: initial_row_window must be at least 1");
+  MTH_ASSERT(std::isfinite(opt.y_weight) && opt.y_weight >= 0.0,
+             "abacus: y_weight must be finite and non-negative");
   const Floorplan& fp = design.floorplan;
   const int n = design.netlist.num_instances();
   const int nrows = fp.num_rows();
@@ -102,14 +106,13 @@ AbacusResult abacus_legalize(Design& design, const AbacusOptions& opt) {
   std::vector<Point> start(static_cast<std::size_t>(n));
   for (InstId i = 0; i < n; ++i) start[static_cast<std::size_t>(i)] = design.netlist.instance(i).pos;
 
-  // Scan order: left to right by target x.
-  std::vector<InstId> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](InstId a, InstId b) {
-    const Dbu xa = start[static_cast<std::size_t>(a)].x;
-    const Dbu xb = start[static_cast<std::size_t>(b)].x;
-    return xa != xb ? xa < xb : a < b;
-  });
+  // Scan order: left to right by target x, ties by id. The (x, id) keys
+  // sort in exactly that total order.
+  std::vector<std::pair<Dbu, InstId>> order(static_cast<std::size_t>(n));
+  for (InstId i = 0; i < n; ++i) {
+    order[static_cast<std::size_t>(i)] = {start[static_cast<std::size_t>(i)].x, i};
+  }
+  std::sort(order.begin(), order.end());
 
   std::vector<RowState> rows(static_cast<std::size_t>(nrows));
 
@@ -120,7 +123,8 @@ AbacusResult abacus_legalize(Design& design, const AbacusOptions& opt) {
     return true;
   };
 
-  for (InstId cell : order) {
+  for (const auto& key : order) {
+    const InstId cell = key.second;
     const CellMaster& m = design.master_of(cell);
     const Point tgt = start[static_cast<std::size_t>(cell)];
     const double weight = 1.0;  // unit weight (area weighting optional)
@@ -128,27 +132,38 @@ AbacusResult abacus_legalize(Design& design, const AbacusOptions& opt) {
 
     int best_row = -1;
     double best_cost = 1e300;
-    double best_x = 0.0;
-    for (int window = opt.initial_row_window; window <= 2 * nrows; window *= 2) {
-      for (int r = std::max(0, r_near - window);
-           r <= std::min(nrows - 1, r_near + window); ++r) {
-        const Row& row = fp.row(r);
-        if (!row_allowed(cell, m, r, row)) continue;
-        const double y_cost =
-            opt.y_weight * std::abs(static_cast<double>(row.y - tgt.y));
-        if (y_cost >= best_cost) continue;  // lower bound prune
-        double x_placed;
-        if (!trial_append(rows[static_cast<std::size_t>(r)], row,
-                          static_cast<double>(tgt.x), weight, m.width, &x_placed)) {
-          continue;
-        }
-        const double cost = std::abs(x_placed - static_cast<double>(tgt.x)) + y_cost;
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_row = r;
-          best_x = x_placed;
-        }
+    auto consider = [&](int r) {
+      const Row& row = fp.row(r);
+      if (!row_allowed(cell, m, r, row)) return;
+      const double y_cost =
+          opt.y_weight * std::abs(static_cast<double>(row.y - tgt.y));
+      if (y_cost >= best_cost) return;  // lower bound prune
+      double x_placed;
+      if (!trial_append(rows[static_cast<std::size_t>(r)], row,
+                        static_cast<double>(tgt.x), weight, m.width, &x_placed)) {
+        return;
       }
+      const double cost = std::abs(x_placed - static_cast<double>(tgt.x)) + y_cost;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_row = r;
+      }
+    };
+    // The window doubles until a row accepts the cell. A widened window
+    // scans only the rows it adds, bottom to top: each row of the previous
+    // window rejected the cell, and would again — no row state changes
+    // during one cell's search, and best_cost only falls, which never
+    // turns a rejection into an acceptance — so the rows the full scan
+    // would accept, and their order, are the same.
+    int lo = r_near + 1;  // rows [lo, hi] are scanned; none yet
+    int hi = r_near;
+    for (int window = opt.initial_row_window; window <= 2 * nrows; window *= 2) {
+      const int new_lo = std::max(0, r_near - window);
+      const int new_hi = std::min(nrows - 1, r_near + window);
+      for (int r = new_lo; r < lo; ++r) consider(r);
+      for (int r = hi + 1; r <= new_hi; ++r) consider(r);
+      lo = new_lo;
+      hi = new_hi;
       if (best_row >= 0) break;
       if (window >= nrows) break;
     }
@@ -156,7 +171,6 @@ AbacusResult abacus_legalize(Design& design, const AbacusOptions& opt) {
       MTH_WARN << "abacus: no feasible row for " << design.netlist.instance(cell).name;
       return res;  // success == false
     }
-    (void)best_x;
     commit_append(rows[static_cast<std::size_t>(best_row)], fp.row(best_row), cell,
                   static_cast<double>(tgt.x), weight, m.width);
   }

@@ -271,6 +271,7 @@ double density_overflow(const Design& design, double bin_rows) {
 }
 
 void global_place(Design& design, const GlobalPlaceOptions& opt) {
+  MTH_ASSERT(opt.max_iterations >= 1, "place: max_iterations must be at least 1");
   design.check();
   MTH_ASSERT(!design.floorplan.rows().empty(), "place: floorplan missing");
   const int n = design.netlist.num_instances();

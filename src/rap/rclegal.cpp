@@ -5,6 +5,7 @@
 
 #include "mth/db/incremental_hpwl.hpp"
 #include "mth/db/metrics.hpp"
+#include "mth/legal/pairlookup.hpp"
 #include "mth/legal/polish.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
@@ -12,23 +13,6 @@
 
 namespace mth::rap {
 namespace {
-
-/// Nearest row pair of the required class to y; -1 when none exists. With
-/// `any_class` the assignment is ignored (unconstrained refinement mode).
-int nearest_pair_of_class(const Floorplan& fp, const RowAssignment& ra,
-                          bool minority, Dbu y, bool any_class = false) {
-  int best = -1;
-  Dbu best_d = INT64_MAX;
-  for (int p = 0; p < fp.num_pairs(); ++p) {
-    if (!any_class && ra.is_minority_pair(p) != minority) continue;
-    const Dbu d = std::llabs(fp.pair_y_center(p) - y);
-    if (d < best_d) {
-      best_d = d;
-      best = p;
-    }
-  }
-  return best;
-}
 
 /// Median of a vector (in place nth_element); midpoint of the two middles
 /// for even sizes.
@@ -78,24 +62,8 @@ RcLegalResult rc_legalize(Design& design, const RowAssignment& ra,
 
   // Seed: pull every cell vertically into the nearest admissible pair (the
   // fence union for minority cells, its complement for majority cells).
-  for (InstId i = 0; i < nl.num_instances(); ++i) {
-    Instance& inst = design.netlist.instance(i);
-    const bool minority = design.is_minority(i);
-    const Dbu yc = inst.pos.y + design.master_of(i).height / 2;
-    const int p = (!enforce ||
-                   ra.is_minority_pair(fp.row_at_y(yc) / 2) == minority)
-                      ? -1  // already in an admissible pair
-                      : nearest_pair_of_class(fp, ra, minority, yc);
-    if (p >= 0) {
-      // Land in the nearer of the pair's two rows.
-      const Row& lower = fp.pair_lower(p);
-      const Row& upper = fp.pair_upper(p);
-      inst.pos.y = (std::llabs(lower.y_center() - yc) <=
-                    std::llabs(upper.y_center() - yc))
-                       ? lower.y
-                       : upper.y;
-    }
-  }
+  const legal::PairLookup pairs(fp, ra);
+  if (enforce) legal::seed_admissible_pairs(design, ra, pairs);
   legal::AbacusResult ar = legal::abacus_legalize(design, aopt);
   if (!ar.success) return res;
 
@@ -108,21 +76,24 @@ RcLegalResult rc_legalize(Design& design, const RowAssignment& ra,
   // earlier moves — with y snapped to the nearest admissible pair; then
   // relegalize and keep the iterate while HPWL improves. This is the
   // "optimize within the fences, ignore the starting point" behaviour of
-  // the proposed legalization (§IV-B-2).
-  const auto& uses = nl.inst_uses();
+  // the proposed legalization (§IV-B-2). The median buffers are reused
+  // across cells: a median depends only on the values pushed, not on what
+  // nth_element left in the buffer before.
+  const db::PinTable& pin_table = ihpwl.pins();
+  std::vector<Dbu> xs, ys;
   for (int pass = 0; pass < opt.refine_passes; ++pass) {
     // Successively gentler pulls; each pass restarts from the best iterate.
     const double damp = pass == 0 ? 1.0 : (pass == 1 ? 0.5 : 0.3);
     for (InstId i = 0; i < nl.num_instances(); ++i) {
       Instance& inst = design.netlist.instance(i);
       const CellMaster& m = design.master_of(i);
-      std::vector<Dbu> xs, ys;
-      for (const InstUse& u : uses[static_cast<std::size_t>(i)]) {
-        const Net& net = nl.net(u.net);
-        if (net.is_clock) continue;
-        for (const PinRef& ref : net.pins) {
-          if (!ref.is_port() && ref.inst == i) continue;
-          const Point p = nl.pin_position(ref, *design.library);
+      xs.clear();
+      ys.clear();
+      for (const InstUse& u : pin_table.uses(i)) {
+        if (pin_table.is_clock(u.net)) continue;
+        for (const db::PinTable::Pin& pin : pin_table.pins(u.net)) {
+          if (pin.inst == i) continue;
+          const Point p = pin_table.position(pin);
           xs.push_back(p.x);
           ys.push_back(p.y);
         }
@@ -134,16 +105,9 @@ RcLegalResult rc_legalize(Design& design, const RowAssignment& ra,
                                                        median_of(xs, cx) - cx));
       const Dbu ty = cy + static_cast<Dbu>(damp * static_cast<double>(
                                                        median_of(ys, cy) - cy));
-      const int p =
-          nearest_pair_of_class(fp, ra, design.is_minority(i), ty, !enforce);
-      Dbu y = inst.pos.y;
-      if (p >= 0) {
-        const Row& lower = fp.pair_lower(p);
-        const Row& upper = fp.pair_upper(p);
-        y = (std::llabs(lower.y_center() - ty) <= std::llabs(upper.y_center() - ty))
-                ? lower.y
-                : upper.y;
-      }
+      const int p = enforce ? pairs.nearest(design.is_minority(i), ty)
+                            : pairs.nearest_any(ty);
+      const Dbu y = p >= 0 ? legal::nearer_row_y(fp, p, ty) : inst.pos.y;
       // Through the engine: O(pins of i) bbox maintenance, and later cells'
       // median pulls see this move via the design (sequential semantics).
       ihpwl.apply_move(i, {std::clamp<Dbu>(tx - m.width / 2, fp.core().lo.x,
