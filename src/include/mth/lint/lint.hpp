@@ -33,7 +33,9 @@
 //    neighbor-query contract through legal::RowList: row_at_y(...) and
 //    sort/stable_sort calls are banned there, so a per-sweep row re-bucket
 //    or re-sort cannot creep back in (legal/rowlist.cpp's build is the one
-//    sanctioned scan).
+//    sanctioned scan). Inside loops of legal/polish, rap/rclegal and
+//    db/incremental_hpwl, pins are read through db::PinTable, so
+//    Netlist::pin_position(...) calls there are flagged.
 //
 //  * parallel rules — the semantic layer (v2). A lightweight scope parser on
 //    top of the token stream recovers function/lambda boundaries, capture
@@ -94,6 +96,8 @@ enum class Rule {
                   ///< horizontal lane-merge intrinsic anywhere
   IhpwlFullScan,  ///< ihpwl-full-scan: total_hpwl() in a rap/legal loop
   RowRescan,      ///< row-rescan: row_at_y / sort in legal/polish|improve
+  PinPositionLoop,  ///< pin-position-loop: pin_position() in a loop of the
+                    ///< legalizer files that read pins via db::PinTable
   ParCaptureRace,  ///< par-capture-race: unindexed by-ref-capture write in a
                    ///< parallel worker lambda
   FpOrderedMerge,  ///< fp-ordered-merge: FP accumulation on captured state

@@ -284,12 +284,9 @@ void rule_simd_merge(Ctx& ctx) {
   }
 }
 
-void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
-  // total_hpwl() is a full-netlist rescan; inside a rap/legal loop it is the
-  // exact regression the incremental engine removed. Lexical loop detection:
-  // for/while bodies (braced or single-statement) and do bodies.
-  if (module != "rap" && module != "legal") return;
-  const auto& T = ctx.scan.tokens;
+/// Per token: 1 inside a loop body. Lexical loop detection: for/while
+/// bodies (braced or single-statement) and do bodies.
+std::vector<char> loop_mask(const std::vector<Token>& T) {
   std::vector<char> in_loop(T.size(), 0);
   for (std::size_t i = 0; i < T.size(); ++i) {
     std::size_t body;
@@ -324,6 +321,15 @@ void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
     }
     for (std::size_t k = body; k < end; ++k) in_loop[k] = 1;
   }
+  return in_loop;
+}
+
+void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
+  // total_hpwl() is a full-netlist rescan; inside a rap/legal loop it is the
+  // exact regression the incremental engine removed.
+  if (module != "rap" && module != "legal") return;
+  const auto& T = ctx.scan.tokens;
+  const std::vector<char> in_loop = loop_mask(T);
   for (std::size_t i = 0; i + 1 < T.size(); ++i) {
     if (in_loop[i] != 0 && is_ident(T[i], "total_hpwl") &&
         is_punct(T[i + 1], "(")) {
@@ -332,6 +338,28 @@ void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
                      "' loop; cost moves through db::IncrementalHpwl "
                      "(apply_move/sync_with), or justify with mth-lint: "
                      "allow(ihpwl-full-scan)");
+    }
+  }
+}
+
+void rule_pin_position_loop(Ctx& ctx) {
+  // The legalizer's hot loops read pins through db::PinTable: one load of
+  // the instance position per pin, where Netlist::pin_position makes three
+  // bounds-checked lookups. Scoped to the files whose loops the table
+  // serves (legal/polish, rap/rclegal, db/incremental_hpwl).
+  const bool hot = ctx.file.find("legal/polish") != std::string::npos ||
+                   ctx.file.find("rap/rclegal") != std::string::npos ||
+                   ctx.file.find("db/incremental_hpwl") != std::string::npos;
+  if (!hot) return;
+  const auto& T = ctx.scan.tokens;
+  const std::vector<char> in_loop = loop_mask(T);
+  for (std::size_t i = 0; i + 1 < T.size(); ++i) {
+    if (in_loop[i] != 0 && is_ident(T[i], "pin_position") &&
+        is_punct(T[i + 1], "(")) {
+      ctx.report(Rule::PinPositionLoop, T[i].line,
+                 "pin_position() inside a loop in " + ctx.file +
+                     "; read pins through db::PinTable (pins/position), or "
+                     "justify with mth-lint: allow(pin-position-loop)");
     }
   }
 }
@@ -379,6 +407,7 @@ const char* to_string(Rule r) {
     case Rule::SimdMerge: return "simd-merge";
     case Rule::IhpwlFullScan: return "ihpwl-full-scan";
     case Rule::RowRescan: return "row-rescan";
+    case Rule::PinPositionLoop: return "pin-position-loop";
     case Rule::ParCaptureRace: return "par-capture-race";
     case Rule::FpOrderedMerge: return "fp-ordered-merge";
     case Rule::LayerCycle: return "layer-cycle";
@@ -416,6 +445,10 @@ const char* rule_description(Rule r) {
     case Rule::RowRescan:
       return "row_at_y / sort inside the detailed-placement sweeps; "
              "neighbor queries go through legal::RowList.";
+    case Rule::PinPositionLoop:
+      return "Netlist::pin_position() inside a loop in legal/polish, "
+             "rap/rclegal or db/incremental_hpwl; pins are read through "
+             "db::PinTable.";
     case Rule::ParCaptureRace:
       return "Parallel worker lambda writes through a by-reference capture "
              "to shared non-atomic state not indexed by a chunk/index "
@@ -446,6 +479,7 @@ std::optional<Rule> rule_from_string(std::string_view id) {
       {"simd-merge", Rule::SimdMerge},
       {"ihpwl-full-scan", Rule::IhpwlFullScan},
       {"row-rescan", Rule::RowRescan},
+      {"pin-position-loop", Rule::PinPositionLoop},
       {"par-capture-race", Rule::ParCaptureRace},
       {"fp-ordered-merge", Rule::FpOrderedMerge},
       {"layer-cycle", Rule::LayerCycle},
@@ -478,6 +512,7 @@ std::vector<Finding> lint_source(const std::string& file,
   rule_simd_merge(ctx);
   rule_ihpwl_full_scan(ctx, module);
   rule_row_rescan(ctx, module);
+  rule_pin_position_loop(ctx);
   detail::rule_parallel_capture(ctx);
 
   std::stable_sort(out.begin(), out.end(),

@@ -16,8 +16,8 @@ std::string findings_to_sarif(const std::vector<Finding>& findings) {
       Rule::DetRand,        Rule::DetThread,     Rule::DetUnordered,
       Rule::UnorderedIter,  Rule::TraceRegistry, Rule::AbDoc,
       Rule::SimdMerge,      Rule::IhpwlFullScan, Rule::RowRescan,
-      Rule::ParCaptureRace, Rule::FpOrderedMerge, Rule::LayerCycle,
-      Rule::LayerViolation,
+      Rule::PinPositionLoop, Rule::ParCaptureRace, Rule::FpOrderedMerge,
+      Rule::LayerCycle,     Rule::LayerViolation,
   };
   std::ostringstream os;
   os << "{\n"

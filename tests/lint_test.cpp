@@ -414,6 +414,52 @@ TEST(IhpwlFullScan, SuppressedHit) {
   EXPECT_TRUE(f.empty());
 }
 
+// --- pin-position-loop ------------------------------------------------------
+
+TEST(PinPositionLoop, LookupInsideLegalizerLoopsPositiveHit) {
+  const auto f = run("src/legal/polish.cpp", R"cpp(
+    Dbu local(const Design& d, const Net& net) {
+      BBox bb;
+      for (const PinRef& ref : net.pins) {
+        bb.add(d.netlist.pin_position(ref, *d.library));
+      }
+      return bb.half_perimeter();
+    }
+  )cpp");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, Rule::PinPositionLoop);
+  EXPECT_NE(f[0].message.find("PinTable"), std::string::npos);
+  EXPECT_TRUE(has_rule(run("src/rap/rclegal.cpp",
+      "void f() { while (x) { Point p = nl.pin_position(r, lib); } }\n"),
+      Rule::PinPositionLoop));
+  EXPECT_TRUE(has_rule(run("src/db/incremental_hpwl.cpp",
+      "void f() { do p = nl.pin_position(r, lib); while (x); }\n"),
+      Rule::PinPositionLoop));
+}
+
+TEST(PinPositionLoop, OutsideLoopOrOtherFilesIsClean) {
+  // One lookup outside a loop is fine...
+  EXPECT_TRUE(run("src/rap/rclegal.cpp",
+      "Point first(const Net& n) { return nl.pin_position(n.pins[0], lib); }\n")
+      .empty());
+  // ...and files the pin table does not serve keep pin_position.
+  EXPECT_TRUE(run("src/route/router.cpp",
+      "for (;;) { pins.push_back(nl.pin_position(ref, lib)); }\n").empty());
+  EXPECT_TRUE(run("src/legal/improve.cpp",
+      "for (;;) { bb.add(nl.pin_position(ref, lib)); }\n").empty());
+  // The table's own accessor has a different name.
+  EXPECT_TRUE(run("src/legal/polish.cpp",
+      "for (;;) { bb.add(pins.position(pin)); }\n").empty());
+}
+
+TEST(PinPositionLoop, SuppressedHit) {
+  const auto f = run("src/db/incremental_hpwl.cpp",
+      "for (;;) {\n"
+      "  Point p = nl.pin_position(r, lib);  // mth-lint: allow(pin-position-loop): fixture\n"
+      "}\n");
+  EXPECT_TRUE(f.empty());
+}
+
 // --- row-rescan -------------------------------------------------------------
 
 TEST(RowRescan, RowAtYInPolishPositiveHit) {
@@ -844,8 +890,8 @@ TEST(RuleIds, EveryRuleRoundTripsAndHasADescription) {
       Rule::DetRand,        Rule::DetThread,      Rule::DetUnordered,
       Rule::UnorderedIter,  Rule::TraceRegistry,  Rule::AbDoc,
       Rule::SimdMerge,      Rule::IhpwlFullScan,  Rule::RowRescan,
-      Rule::ParCaptureRace, Rule::FpOrderedMerge, Rule::LayerCycle,
-      Rule::LayerViolation,
+      Rule::PinPositionLoop, Rule::ParCaptureRace, Rule::FpOrderedMerge,
+      Rule::LayerCycle,     Rule::LayerViolation,
   };
   for (Rule r : all) {
     const auto back = lint::rule_from_string(lint::to_string(r));

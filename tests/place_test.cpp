@@ -9,6 +9,7 @@
 #include "mth/liberty/asap7.hpp"
 #include "mth/place/placer.hpp"
 #include "mth/synth/generator.hpp"
+#include "mth/util/error.hpp"
 #include "mth/util/rng.hpp"
 
 namespace mth::place {
@@ -151,6 +152,25 @@ TEST(GlobalPlace, LegalizableAfterwards) {
   ASSERT_TRUE(ar.success);
   std::string why;
   EXPECT_TRUE(placement_is_legal(d, &why)) << why;
+}
+
+TEST(Placer, RejectsUnusableOptions) {
+  Design d = prepared_mlef_design("aes_400", 0.04);
+  const auto before = placement_snapshot(d);
+  GlobalPlaceOptions no_iterations;
+  no_iterations.max_iterations = 0;  // no look-ahead to commit
+  EXPECT_THROW(global_place(d, no_iterations), Error);
+  GlobalPlaceOptions negative;
+  negative.max_iterations = -1;
+  EXPECT_THROW(global_place(d, negative), Error);
+  EXPECT_EQ(placement_snapshot(d), before);  // rejected before any move
+  GlobalPlaceOptions one;
+  one.max_iterations = 1;
+  global_place(d, one);
+  const Rect core = d.floorplan.core();
+  for (const Instance& inst : d.netlist.instances()) {
+    EXPECT_TRUE(core.contains(inst.pos)) << inst.name;
+  }
 }
 
 TEST(DensityOverflow, ZeroForPerfectSpread) {
