@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "mth/flows/flow.hpp"
 #include "mth/io/lefio.hpp"
@@ -244,6 +247,113 @@ TEST(Hash, OptionsHashTracksFields) {
   b.rap.alpha = 0.9;
   EXPECT_NE(canonical_options_hash(a), canonical_options_hash(b));
   EXPECT_EQ(hash_hex(canonical_options_hash(a)).size(), 16u);
+}
+
+// --- byte pin ----------------------------------------------------------------
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One value that reaches every writer branch: each control character,
+/// quote and backslash, a é escape read back, %.17g doubles (-0.0, a
+/// subnormal), +-inf, the int64 extremes, empty and nested composites, and
+/// arrays both inline (scalars only) and broken over lines.
+Value every_branch_value() {
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  controls += "\"\\/ plain";
+  Value doubles = Value::array();
+  for (const double d : {0.1, -0.0, 4.9406564584124654e-324, 1.0 / 3.0,
+                         -1e300, 2.5, std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    doubles.push(Value::number(d));
+  }
+  Value ints = Value::array();
+  for (const std::int64_t i : {std::numeric_limits<std::int64_t>::min(),
+                               std::int64_t{-1}, std::int64_t{0},
+                               std::numeric_limits<std::int64_t>::max()}) {
+    ints.push(Value::integer(i));
+  }
+  Value inner = Value::object();
+  inner.set("null", Value::null());
+  inner.set("yes", Value::boolean(true));
+  inner.set("no", Value::boolean(false));
+  inner.set("empty_array", Value::array());
+  inner.set("empty_object", Value::object());
+  Value mixed = Value::array();
+  mixed.push(Value::integer(1));
+  mixed.push(inner);
+  mixed.push(Value::array());
+  mixed.push(ints);
+  Value v = Value::object();
+  v.set("controls", Value::string(controls));
+  v.set("latin1", parse("\"caf\\u00e9\""));
+  v.set("doubles", std::move(doubles));
+  v.set("ints", std::move(ints));
+  v.set("mixed", std::move(mixed));
+  v.set("", Value::string(""));
+  return v;
+}
+
+TEST(Ser, MatchesParentBytes) {
+  // FNV-1a of write() and write_compact() on one hand-built value and on
+  // the envelopes of a Flow 5 run, plus serve's two cache keys. Recorded
+  // before the JSON value moved to mth::json; any byte the move changes
+  // fails here.
+  flows::FlowOptions opt;
+  opt.scale = 0.04;
+  opt.rap.ilp.time_limit_s = 1e9;
+  const flows::PreparedCase pc =
+      flows::prepare_case(synth::spec_by_name("aes_360"), opt);
+  const flows::FlowOutput out =
+      flows::run_flow(pc, flows::FlowId::F5, opt, false, true);
+  ASSERT_NE(pc.rap_cache, nullptr);
+  rap::RapResult result = *pc.rap_cache;
+  ASSERT_NE(result.certificate, nullptr);
+  // Wall clock, not output.
+  result.cluster_seconds = 0.0;
+  result.cost_seconds = 0.0;
+  result.ilp_seconds = 0.0;
+
+  struct Want {
+    const char* what;
+    Value value;
+    std::uint64_t pretty;
+    std::uint64_t compact;
+  };
+  const Want cases[] = {
+      {"every branch", every_branch_value(),
+       0xbc4056fb8831a772ull, 0xc8c8360caf6d8970ull},
+      {"design", to_value(pc.initial),
+       0xfd980e52a310967full, 0xa400a1ced490f395ull},
+      {"flow design", to_value(*out.design),
+       0x22c7900a7482e2afull, 0x7dd8b49779966e45ull},
+      {"flow_options", to_value(opt),
+       0x06408452cf0734c3ull, 0x98b2fa41d3842e13ull},
+      {"rap_options", to_value(opt.rap),
+       0xeecdd12e25cfc0c1ull, 0x57eecfe428a016cdull},
+      {"rap_result", to_value(result),
+       0x7d8f23ab9a42507eull, 0xd57370464aa7f1a4ull},
+      {"rap_certificate", to_value(*result.certificate),
+       0xd5a7c9dab24cb81cull, 0xd9eb23679d59388eull},
+  };
+  for (const Want& w : cases) {
+    EXPECT_EQ(fnv1a(write(w.value)), w.pretty)
+        << w.what << " write: got " << hash_hex(fnv1a(write(w.value)));
+    EXPECT_EQ(fnv1a(write_compact(w.value)), w.compact)
+        << w.what << " write_compact: got "
+        << hash_hex(fnv1a(write_compact(w.value)));
+  }
+  EXPECT_EQ(canonical_design_hash(pc.initial), 0xb4dbaed974a86a40ull)
+      << "got " << hash_hex(canonical_design_hash(pc.initial));
+  EXPECT_EQ(canonical_options_hash(opt), 0x98b2fa41d3842e13ull)
+      << "got " << hash_hex(canonical_options_hash(opt));
 }
 
 }  // namespace
