@@ -195,14 +195,13 @@ struct FileIncludes {
 };
 
 /// The declared module DAG. Order is preserved from the config file so
-/// diagnostics and regenerated JSON are diff-stable.
+/// diagnostics are diff-stable.
 struct LayerConfig {
   std::vector<std::pair<std::string, std::vector<std::string>>> modules;
   bool empty() const { return modules.empty(); }
 };
-std::optional<LayerConfig> parse_layers(std::string_view json,
+std::optional<LayerConfig> parse_layers(std::string_view text,
                                         std::string* error);
-std::string layers_to_json(const LayerConfig& config);
 
 /// Run the layering + cycle analysis over the collected include edges.
 /// `config_label` names the config file in config-level findings (pass the
@@ -212,15 +211,14 @@ std::vector<Finding> check_layers(const std::vector<FileIncludes>& files,
                                   const std::string& config_label);
 
 // --- serialization -------------------------------------------------------
-// All readers accept exactly what the writers emit (plus whitespace); on
-// malformed input they return nullopt and set *error to a short description.
+// Every writer builds an mth::json value and returns json::write(value);
+// every reader parses with json::parse. On malformed input or a schema
+// violation the readers return nullopt and set *error to a short
+// description.
 
 /// Schema v2: {"version": 2, "total": N, "counts": {"<rule>": n, ...},
 /// "findings": [{rule, file, line, module, message, snippet}, ...]}.
-/// parse_findings_json also accepts the v1 form (no counts, no module).
 std::string findings_to_json(const std::vector<Finding>& findings);
-std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
-                                                        std::string* error);
 
 /// SARIF 2.1.0 (one run, tool "mth_lint", every rule listed with its
 /// description) — the format GitHub code scanning ingests for inline PR
@@ -229,7 +227,7 @@ std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
 std::string findings_to_sarif(const std::vector<Finding>& findings);
 
 std::string baseline_to_json(const std::vector<Finding>& findings);
-std::optional<std::vector<std::string>> parse_baseline(std::string_view json,
+std::optional<std::vector<std::string>> parse_baseline(std::string_view text,
                                                        std::string* error);
 
 /// Drop findings whose finding_key() appears in `baseline_keys`. Keys in the
@@ -240,7 +238,7 @@ std::vector<Finding> apply_baseline(std::vector<Finding> findings,
                                     std::vector<std::string>* stale);
 
 std::string registry_to_json(const Registry& registry);
-std::optional<Registry> parse_registry(std::string_view json,
+std::optional<Registry> parse_registry(std::string_view text,
                                        std::string* error);
 
 }  // namespace mth::lint

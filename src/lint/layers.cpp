@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "scan.hpp"
 
@@ -25,8 +24,6 @@ namespace mth::lint {
 
 using detail::is_ident;
 using detail::is_punct;
-using detail::JParser;
-using detail::JValue;
 using detail::Tok;
 
 std::vector<IncludeUse> collect_includes(std::string_view text) {
@@ -52,55 +49,20 @@ std::vector<IncludeUse> collect_includes(std::string_view text) {
   return out;
 }
 
-std::optional<LayerConfig> parse_layers(std::string_view json,
+std::optional<LayerConfig> parse_layers(std::string_view text,
                                         std::string* error) {
-  JValue doc;
-  if (!JParser(json).parse(doc, error)) return std::nullopt;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (doc.kind != JValue::Obj) return fail("top level must be an object");
-  const JValue* version = doc.find("version");
-  if (version == nullptr || version->kind != JValue::Num ||
-      version->num != 1.0) {
-    return fail("missing or unsupported 'version' (want 1)");
-  }
-  const JValue* modules = doc.find("modules");
-  if (modules == nullptr || modules->kind != JValue::Obj) {
-    return fail("'modules' must be an object");
-  }
-  LayerConfig cfg;
-  for (const auto& [name, depv] : modules->obj) {
-    if (depv.kind != JValue::Arr) {
-      return fail("module '" + name + "' must map to an array");
-    }
-    std::vector<std::string> deps;
-    for (const JValue& d : depv.arr) {
-      if (d.kind != JValue::Str) {
-        return fail("module '" + name + "' has a non-string dependency");
+  return detail::read_json(text, error, [](const json::Value& doc) {
+    detail::expect_version(doc, 1);
+    LayerConfig cfg;
+    for (const auto& [name, deps] : doc.get("modules").members()) {
+      std::vector<std::string> names;
+      for (std::size_t i = 0; i < deps.size(); ++i) {
+        names.push_back(deps.at(i).as_string());
       }
-      deps.push_back(d.str);
+      cfg.modules.emplace_back(name, std::move(names));
     }
-    cfg.modules.emplace_back(name, std::move(deps));
-  }
-  return cfg;
-}
-
-std::string layers_to_json(const LayerConfig& config) {
-  std::ostringstream os;
-  os << "{\n \"version\": 1,\n \"modules\": {";
-  for (std::size_t i = 0; i < config.modules.size(); ++i) {
-    const auto& [name, deps] = config.modules[i];
-    os << (i == 0 ? "\n" : ",\n") << "  \"" << detail::json_escape(name)
-       << "\": [";
-    for (std::size_t j = 0; j < deps.size(); ++j) {
-      os << (j == 0 ? "" : ", ") << '"' << detail::json_escape(deps[j]) << '"';
-    }
-    os << ']';
-  }
-  os << (config.modules.empty() ? "}\n}\n" : "\n }\n}\n");
-  return os.str();
+    return cfg;
+  });
 }
 
 namespace {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "scan.hpp"
 
@@ -15,15 +14,12 @@ using detail::Tok;
 using detail::Token;
 using detail::is_ident;
 using detail::is_punct;
-using detail::json_escape;
-using detail::JParser;
-using detail::JValue;
 
 namespace {
 
 // ---------------------------------------------------------------------------
 // Token-level rule implementations (the v1 rule families). The scanner, the
-// suppression machinery and the JSON plumbing live in scan.cpp; the v2
+// suppression machinery and the JSON readers live in scan.cpp; the v2
 // semantic passes live in scope.cpp (parallel captures) and layers.cpp
 // (include graph).
 // ---------------------------------------------------------------------------
@@ -536,111 +532,36 @@ TraceUses collect_trace_uses(std::string_view text) {
 }
 
 std::string findings_to_json(const std::vector<Finding>& findings) {
-  // Schema v2 (extends v1 with per-rule counts and a per-finding module
-  // label): consumed by tools/lint_smoke.sh's schema check and CI artifact
-  // tooling, round-tripped by parse_findings_json below.
+  // Schema v2 (per-rule counts and a per-finding module label), consumed
+  // by tools/lint_smoke.sh's schema check and CI artifact tooling.
   std::map<std::string, int> counts;
   for (const Finding& f : findings) ++counts[to_string(f.rule)];
-  std::ostringstream os;
-  os << "{\n \"version\": 2,\n \"total\": " << findings.size()
-     << ",\n \"counts\": {";
-  bool first = true;
+  json::Value count_obj = json::Value::object();
   for (const auto& [rule, n] : counts) {
-    os << (first ? "" : ", ") << '"' << rule << "\": " << n;
-    first = false;
+    count_obj.set(rule, json::Value::integer(n));
   }
-  os << "},\n \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "  {\"rule\": \"" << to_string(f.rule) << "\", \"file\": \""
-       << json_escape(f.file) << "\", \"line\": " << f.line
-       << ", \"module\": \"" << json_escape(detail::module_of(f.file))
-       << "\", \"message\": \"" << json_escape(f.message)
-       << "\", \"snippet\": \"" << json_escape(f.snippet) << "\"}";
+  json::Value list = json::Value::array();
+  for (const Finding& f : findings) {
+    json::Value v = json::Value::object();
+    v.set("rule", json::Value::string(to_string(f.rule)));
+    v.set("file", json::Value::string(f.file));
+    v.set("line", json::Value::integer(f.line));
+    v.set("module", json::Value::string(detail::module_of(f.file)));
+    v.set("message", json::Value::string(f.message));
+    v.set("snippet", json::Value::string(f.snippet));
+    list.push(std::move(v));
   }
-  os << (findings.empty() ? "]\n}\n" : "\n ]\n}\n");
-  return os.str();
-}
-
-std::optional<std::vector<Finding>> parse_findings_json(std::string_view json,
-                                                        std::string* error) {
-  JValue doc;
-  if (!JParser(json).parse(doc, error)) return std::nullopt;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (doc.kind != JValue::Obj) return fail("top level must be an object");
-  const JValue* version = doc.find("version");
-  if (version == nullptr || version->kind != JValue::Num ||
-      (version->num != 1.0 && version->num != 2.0)) {
-    return fail("missing or unsupported 'version' (want 1 or 2)");
-  }
-  const JValue* arr = doc.find("findings");
-  if (arr == nullptr || arr->kind != JValue::Arr) {
-    return fail("'findings' must be an array");
-  }
-  const JValue* total = doc.find("total");
-  if (total == nullptr || total->kind != JValue::Num ||
-      static_cast<std::size_t>(total->num) != arr->arr.size()) {
-    return fail("'total' must match the findings count");
-  }
-  std::vector<Finding> out;
-  std::map<std::string, int> counts;
-  for (const JValue& v : arr->arr) {
-    if (v.kind != JValue::Obj) return fail("finding must be an object");
-    Finding f;
-    const JValue* rule = v.find("rule");
-    const JValue* file = v.find("file");
-    const JValue* line = v.find("line");
-    const JValue* message = v.find("message");
-    const JValue* snippet = v.find("snippet");
-    if (rule == nullptr || rule->kind != JValue::Str ||
-        file == nullptr || file->kind != JValue::Str ||
-        line == nullptr || line->kind != JValue::Num ||
-        message == nullptr || message->kind != JValue::Str ||
-        snippet == nullptr || snippet->kind != JValue::Str) {
-      return fail("finding missing rule/file/line/message/snippet");
-    }
-    const auto r = rule_from_string(rule->str);
-    if (!r) return fail("unknown rule id '" + rule->str + "'");
-    f.rule = *r;
-    f.file = file->str;
-    f.line = static_cast<int>(line->num);
-    f.message = message->str;
-    f.snippet = snippet->str;
-    ++counts[rule->str];
-    out.push_back(std::move(f));
-  }
-  if (version->num == 2.0) {
-    // v2 requires the per-rule counts block and holds it consistent with the
-    // findings array, so truncated artifacts are rejected loudly.
-    const JValue* cv = doc.find("counts");
-    if (cv == nullptr || cv->kind != JValue::Obj) {
-      return fail("v2 requires a 'counts' object");
-    }
-    std::size_t sum = 0;
-    for (const auto& [rule, n] : cv->obj) {
-      if (n.kind != JValue::Num || !rule_from_string(rule)) {
-        return fail("bad 'counts' entry '" + rule + "'");
-      }
-      if (counts[rule] != static_cast<int>(n.num)) {
-        return fail("'counts." + rule + "' disagrees with the findings");
-      }
-      sum += static_cast<std::size_t>(n.num);
-    }
-    if (sum != out.size()) return fail("'counts' must sum to 'total'");
-  }
-  return out;
+  json::Value doc = json::Value::object();
+  doc.set("version", json::Value::integer(2));
+  doc.set("total",
+          json::Value::integer(static_cast<std::int64_t>(findings.size())));
+  doc.set("counts", std::move(count_obj));
+  doc.set("findings", std::move(list));
+  return json::write(doc);
 }
 
 std::string baseline_to_json(const std::vector<Finding>& findings) {
   // One entry per distinct key, sorted, so regeneration is diff-stable.
-  std::set<std::string> keys;
-  std::ostringstream os;
-  os << "{\n \"version\": 1,\n \"suppressions\": [";
-  bool first = true;
   std::vector<const Finding*> sorted;
   sorted.reserve(findings.size());
   for (const Finding& f : findings) sorted.push_back(&f);
@@ -648,53 +569,39 @@ std::string baseline_to_json(const std::vector<Finding>& findings) {
             [](const Finding* a, const Finding* b) {
               return finding_key(*a) < finding_key(*b);
             });
+  std::set<std::string> keys;
+  json::Value list = json::Value::array();
   for (const Finding* f : sorted) {
     if (!keys.insert(finding_key(*f)).second) continue;
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "  {\"rule\": \"" << to_string(f->rule) << "\", \"file\": \""
-       << json_escape(f->file) << "\", \"snippet\": \""
-       << json_escape(f->snippet) << "\"}";
+    json::Value v = json::Value::object();
+    v.set("rule", json::Value::string(to_string(f->rule)));
+    v.set("file", json::Value::string(f->file));
+    v.set("snippet", json::Value::string(f->snippet));
+    list.push(std::move(v));
   }
-  os << (first ? "]\n}\n" : "\n ]\n}\n");
-  return os.str();
+  json::Value doc = json::Value::object();
+  doc.set("version", json::Value::integer(1));
+  doc.set("suppressions", std::move(list));
+  return json::write(doc);
 }
 
-std::optional<std::vector<std::string>> parse_baseline(std::string_view json,
+std::optional<std::vector<std::string>> parse_baseline(std::string_view text,
                                                        std::string* error) {
-  JValue doc;
-  if (!JParser(json).parse(doc, error)) return std::nullopt;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (doc.kind != JValue::Obj) return fail("top level must be an object");
-  const JValue* version = doc.find("version");
-  if (version == nullptr || version->kind != JValue::Num ||
-      version->num != 1.0) {
-    return fail("missing or unsupported 'version' (want 1)");
-  }
-  const JValue* arr = doc.find("suppressions");
-  if (arr == nullptr || arr->kind != JValue::Arr) {
-    return fail("'suppressions' must be an array");
-  }
-  std::vector<std::string> keys;
-  for (const JValue& v : arr->arr) {
-    const JValue* rule = v.kind == JValue::Obj ? v.find("rule") : nullptr;
-    const JValue* file = v.kind == JValue::Obj ? v.find("file") : nullptr;
-    const JValue* snippet =
-        v.kind == JValue::Obj ? v.find("snippet") : nullptr;
-    if (rule == nullptr || rule->kind != JValue::Str ||
-        file == nullptr || file->kind != JValue::Str ||
-        snippet == nullptr || snippet->kind != JValue::Str) {
-      return fail("suppression missing rule/file/snippet");
+  return detail::read_json(text, error, [](const json::Value& doc) {
+    detail::expect_version(doc, 1);
+    const json::Value& list = doc.get("suppressions");
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const json::Value& v = list.at(i);
+      const std::string& rule = v.get("rule").as_string();
+      if (!rule_from_string(rule)) {
+        throw Error("unknown rule id '" + rule + "'");
+      }
+      keys.push_back(rule + '\x1f' + v.get("file").as_string() + '\x1f' +
+                     v.get("snippet").as_string());
     }
-    if (!rule_from_string(rule->str)) {
-      return fail("unknown rule id '" + rule->str + "'");
-    }
-    keys.push_back(rule->str + '\x1f' + file->str + '\x1f' + snippet->str);
-  }
-  return keys;
+    return keys;
+  });
 }
 
 std::vector<Finding> apply_baseline(
@@ -722,54 +629,37 @@ std::vector<Finding> apply_baseline(
 }
 
 std::string registry_to_json(const Registry& registry) {
-  const auto write_list = [](std::ostringstream& os,
-                             std::vector<std::string> names) {
+  const auto sorted_list = [](std::vector<std::string> names) {
     std::sort(names.begin(), names.end());
     names.erase(std::unique(names.begin(), names.end()), names.end());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      os << (i == 0 ? "\n" : ",\n") << "  \"" << json_escape(names[i]) << '"';
+    json::Value list = json::Value::array();
+    for (std::string& name : names) {
+      list.push(json::Value::string(std::move(name)));
     }
-    os << (names.empty() ? "]" : "\n ]");
+    return list;
   };
-  std::ostringstream os;
-  os << "{\n \"version\": 1,\n \"spans\": [";
-  write_list(os, registry.spans);
-  os << ",\n \"counters\": [";
-  write_list(os, registry.counters);
-  os << "\n}\n";
-  return os.str();
+  json::Value doc = json::Value::object();
+  doc.set("version", json::Value::integer(1));
+  doc.set("spans", sorted_list(registry.spans));
+  doc.set("counters", sorted_list(registry.counters));
+  return json::write(doc);
 }
 
-std::optional<Registry> parse_registry(std::string_view json,
+std::optional<Registry> parse_registry(std::string_view text,
                                        std::string* error) {
-  JValue doc;
-  if (!JParser(json).parse(doc, error)) return std::nullopt;
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (doc.kind != JValue::Obj) return fail("top level must be an object");
-  const JValue* version = doc.find("version");
-  if (version == nullptr || version->kind != JValue::Num ||
-      version->num != 1.0) {
-    return fail("missing or unsupported 'version' (want 1)");
-  }
-  Registry reg;
-  const std::pair<const char*, std::vector<std::string>*> lists[] = {
-      {"spans", &reg.spans}, {"counters", &reg.counters}};
-  for (const auto& [key, dst] : lists) {
-    const JValue* arr = doc.find(key);
-    if (arr == nullptr || arr->kind != JValue::Arr) {
-      return fail(std::string("'") + key + "' must be an array");
-    }
-    for (const JValue& v : arr->arr) {
-      if (v.kind != JValue::Str) {
-        return fail(std::string("'") + key + "' entries must be strings");
+  return detail::read_json(text, error, [](const json::Value& doc) {
+    detail::expect_version(doc, 1);
+    Registry reg;
+    const std::pair<const char*, std::vector<std::string>*> lists[] = {
+        {"spans", &reg.spans}, {"counters", &reg.counters}};
+    for (const auto& [key, dst] : lists) {
+      const json::Value& list = doc.get(key);
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        dst->push_back(list.at(i).as_string());
       }
-      dst->push_back(v.str);
     }
-  }
-  return reg;
+    return reg;
+  });
 }
 
 }  // namespace mth::lint

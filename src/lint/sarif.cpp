@@ -3,14 +3,23 @@
 // PR annotations. One run, tool driver "mth_lint", every rule listed with
 // its one-line description so the code-scanning UI can group by rule.
 
-#include <sstream>
+#include <iterator>
 
 #include "scan.hpp"
 
 namespace mth::lint {
 
+namespace {
+
+json::Value text_object(const char* key, std::string text) {
+  json::Value v = json::Value::object();
+  v.set(key, json::Value::string(std::move(text)));
+  return v;
+}
+
+}  // namespace
+
 std::string findings_to_sarif(const std::vector<Finding>& findings) {
-  using detail::json_escape;
   // Every rule, in enum order; ruleIndex below indexes into this list.
   static const Rule kRules[] = {
       Rule::DetRand,        Rule::DetThread,     Rule::DetUnordered,
@@ -19,47 +28,56 @@ std::string findings_to_sarif(const std::vector<Finding>& findings) {
       Rule::PinPositionLoop, Rule::ParCaptureRace, Rule::FpOrderedMerge,
       Rule::LayerCycle,     Rule::LayerViolation,
   };
-  std::ostringstream os;
-  os << "{\n"
-     << " \"$schema\": "
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-     << " \"version\": \"2.1.0\",\n"
-     << " \"runs\": [\n"
-     << "  {\n"
-     << "   \"tool\": {\n"
-     << "    \"driver\": {\n"
-     << "     \"name\": \"mth_lint\",\n"
-     << "     \"informationUri\": \"tools/mth_lint.cpp\",\n"
-     << "     \"rules\": [";
-  for (std::size_t i = 0; i < std::size(kRules); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "      {\"id\": \""
-       << to_string(kRules[i]) << "\", \"shortDescription\": {\"text\": \""
-       << json_escape(rule_description(kRules[i])) << "\"}}";
+  json::Value rules = json::Value::array();
+  for (const Rule rule : kRules) {
+    json::Value r = json::Value::object();
+    r.set("id", json::Value::string(to_string(rule)));
+    r.set("shortDescription", text_object("text", rule_description(rule)));
+    rules.push(std::move(r));
   }
-  os << "\n     ]\n"
-     << "    }\n"
-     << "   },\n"
-     << "   \"results\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
+  json::Value results = json::Value::array();
+  for (const Finding& f : findings) {
     std::size_t rule_index = 0;
     while (rule_index + 1 < std::size(kRules) &&
            kRules[rule_index] != f.rule) {
       ++rule_index;
     }
     // SARIF regions are 1-based; file-level findings (line 0) clamp to 1.
-    const int line = f.line > 0 ? f.line : 1;
-    os << (i == 0 ? "\n" : ",\n") << "    {\"ruleId\": \""
-       << to_string(f.rule) << "\", \"ruleIndex\": " << rule_index
-       << ", \"level\": \"error\", \"message\": {\"text\": \""
-       << json_escape(f.message)
-       << "\"}, \"locations\": [{\"physicalLocation\": "
-          "{\"artifactLocation\": {\"uri\": \""
-       << json_escape(f.file) << "\"}, \"region\": {\"startLine\": " << line
-       << "}}}]}";
+    json::Value region = json::Value::object();
+    region.set("startLine", json::Value::integer(f.line > 0 ? f.line : 1));
+    json::Value physical = json::Value::object();
+    physical.set("artifactLocation", text_object("uri", f.file));
+    physical.set("region", std::move(region));
+    json::Value location = json::Value::object();
+    location.set("physicalLocation", std::move(physical));
+    json::Value locations = json::Value::array();
+    locations.push(std::move(location));
+    json::Value r = json::Value::object();
+    r.set("ruleId", json::Value::string(to_string(f.rule)));
+    r.set("ruleIndex",
+          json::Value::integer(static_cast<std::int64_t>(rule_index)));
+    r.set("level", json::Value::string("error"));
+    r.set("message", text_object("text", f.message));
+    r.set("locations", std::move(locations));
+    results.push(std::move(r));
   }
-  os << (findings.empty() ? "]\n" : "\n   ]\n") << "  }\n ]\n}\n";
-  return os.str();
+  json::Value driver = json::Value::object();
+  driver.set("name", json::Value::string("mth_lint"));
+  driver.set("informationUri", json::Value::string("tools/mth_lint.cpp"));
+  driver.set("rules", std::move(rules));
+  json::Value tool = json::Value::object();
+  tool.set("driver", std::move(driver));
+  json::Value run = json::Value::object();
+  run.set("tool", std::move(tool));
+  run.set("results", std::move(results));
+  json::Value runs = json::Value::array();
+  runs.push(std::move(run));
+  json::Value doc = json::Value::object();
+  doc.set("$schema",
+          json::Value::string("https://json.schemastore.org/sarif-2.1.0.json"));
+  doc.set("version", json::Value::string("2.1.0"));
+  doc.set("runs", std::move(runs));
+  return json::write(doc);
 }
 
 }  // namespace mth::lint

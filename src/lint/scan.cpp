@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 
 namespace mth::lint::detail {
@@ -247,140 +246,10 @@ void Ctx::report(Rule rule, int line, std::string message) {
   out.push_back(std::move(f));
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+void expect_version(const json::Value& doc, std::int64_t want) {
+  if (doc.get("version").as_int() != want) {
+    throw Error("unsupported 'version' (want " + std::to_string(want) + ")");
   }
-  return out;
-}
-
-bool JParser::parse(JValue& out, std::string* error) {
-  const bool ok = value(out) && (skip_ws(), i_ == t_.size());
-  if (!ok && error != nullptr) {
-    *error = "invalid JSON near offset " + std::to_string(i_);
-  }
-  return ok;
-}
-
-void JParser::skip_ws() {
-  while (i_ < t_.size() && std::isspace(static_cast<unsigned char>(t_[i_]))) {
-    ++i_;
-  }
-}
-
-bool JParser::lit(std::string_view s) {
-  if (t_.substr(i_, s.size()) != s) return false;
-  i_ += s.size();
-  return true;
-}
-
-bool JParser::string(std::string& out) {
-  if (i_ >= t_.size() || t_[i_] != '"') return false;
-  ++i_;
-  while (i_ < t_.size() && t_[i_] != '"') {
-    char c = t_[i_];
-    if (c == '\\' && i_ + 1 < t_.size()) {
-      ++i_;
-      switch (t_[i_]) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'r': c = '\r'; break;
-        case 'u':
-          i_ += std::min<std::size_t>(4, t_.size() - i_ - 1);
-          c = '?';
-          break;
-        default: c = t_[i_];
-      }
-    }
-    out += c;
-    ++i_;
-  }
-  if (i_ >= t_.size()) return false;
-  ++i_;  // closing quote
-  return true;
-}
-
-bool JParser::value(JValue& out) {
-  skip_ws();
-  if (i_ >= t_.size()) return false;
-  const char c = t_[i_];
-  if (c == '{') {
-    ++i_;
-    out.kind = JValue::Obj;
-    skip_ws();
-    if (i_ < t_.size() && t_[i_] == '}') return ++i_, true;
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (i_ >= t_.size() || t_[i_] != ':') return false;
-      ++i_;
-      if (!value(out.obj[key])) return false;
-      skip_ws();
-      if (i_ < t_.size() && t_[i_] == ',') {
-        ++i_;
-        continue;
-      }
-      break;
-    }
-    skip_ws();
-    if (i_ >= t_.size() || t_[i_] != '}') return false;
-    return ++i_, true;
-  }
-  if (c == '[') {
-    ++i_;
-    out.kind = JValue::Arr;
-    skip_ws();
-    if (i_ < t_.size() && t_[i_] == ']') return ++i_, true;
-    while (true) {
-      if (!value(out.arr.emplace_back())) return false;
-      skip_ws();
-      if (i_ < t_.size() && t_[i_] == ',') {
-        ++i_;
-        continue;
-      }
-      break;
-    }
-    skip_ws();
-    if (i_ >= t_.size() || t_[i_] != ']') return false;
-    return ++i_, true;
-  }
-  if (c == '"') {
-    out.kind = JValue::Str;
-    return string(out.str);
-  }
-  if (c == 't') return out.kind = JValue::Bool, out.b = true, lit("true");
-  if (c == 'f') return out.kind = JValue::Bool, out.b = false, lit("false");
-  if (c == 'n') return out.kind = JValue::Null, lit("null");
-  // number
-  std::size_t j = i_;
-  while (j < t_.size() &&
-         (std::isdigit(static_cast<unsigned char>(t_[j])) || t_[j] == '-' ||
-          t_[j] == '+' || t_[j] == '.' || t_[j] == 'e' || t_[j] == 'E')) {
-    ++j;
-  }
-  if (j == i_) return false;
-  out.kind = JValue::Num;
-  out.num = std::stod(std::string(t_.substr(i_, j - i_)));
-  i_ = j;
-  return true;
 }
 
 std::string trimmed(const std::string& s) {

@@ -5,13 +5,16 @@
 // here lives in mth::lint::detail and may change freely between PRs — the
 // stable surface is mth/lint/lint.hpp.
 
-#include <map>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "mth/lint/lint.hpp"
+#include "mth/util/error.hpp"
+#include "mth/util/json.hpp"
 
 namespace mth::lint::detail {
 
@@ -99,42 +102,24 @@ struct Ctx {
 void rule_parallel_capture(Ctx& ctx);
 
 // ---------------------------------------------------------------------------
-// JSON: a writer helper and a minimal recursive-descent reader. The reader
-// accepts the subset the writers emit (objects, arrays, strings, integers,
-// bools) plus arbitrary whitespace; good enough for baseline / registry /
-// layer-config round-trips without a third-party dependency.
+// JSON readers: parse `text` with json::parse and hand the document to
+// `read`, which throws mth::Error on a schema violation. Any mth::Error
+// becomes the nullopt + *error result the public readers promise.
 // ---------------------------------------------------------------------------
 
-std::string json_escape(std::string_view s);
-
-struct JValue {
-  enum Kind { Null, Bool, Num, Str, Arr, Obj } kind = Null;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JValue> arr;
-  std::map<std::string, JValue> obj;
-
-  const JValue* find(const std::string& key) const {
-    const auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
+template <typename Read>
+auto read_json(std::string_view text, std::string* error, Read read)
+    -> std::optional<decltype(read(json::Value()))> {
+  try {
+    return read(json::parse(text));
+  } catch (const Error& e) {
+    if (error != nullptr) *error = e.what();
+    return std::nullopt;
   }
-};
+}
 
-class JParser {
- public:
-  explicit JParser(std::string_view text) : t_(text) {}
-  bool parse(JValue& out, std::string* error);
-
- private:
-  void skip_ws();
-  bool lit(std::string_view s);
-  bool string(std::string& out);
-  bool value(JValue& out);
-
-  std::string_view t_;
-  std::size_t i_ = 0;
-};
+/// Throws unless doc["version"] is the integer `want`.
+void expect_version(const json::Value& doc, std::int64_t want);
 
 std::string trimmed(const std::string& s);
 
