@@ -15,9 +15,9 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "mth/flows/flow.hpp"
+#include "mth/util/json.hpp"
 
 namespace mth {
 namespace {
@@ -37,8 +37,7 @@ flows::FlowOptions golden_options() {
   return opt;
 }
 
-/// Flat JSON object {"case.flow.metric": value, ...} — written and parsed
-/// here so the golden file needs no JSON library.
+/// Flat JSON object {"case.flow.metric": value, ...}, keys sorted.
 using Metrics = std::map<std::string, long long>;
 
 Metrics collect(const std::string& name) {
@@ -67,29 +66,20 @@ Metrics read_golden() {
   EXPECT_TRUE(in.good()) << "missing golden file " << kGoldenFile
                          << " (regenerate with MTH_GOLDEN_UPDATE=1)";
   Metrics m;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t k0 = line.find('"');
-    if (k0 == std::string::npos) continue;  // braces / blank lines
-    const std::size_t k1 = line.find('"', k0 + 1);
-    const std::size_t colon = line.find(':', k1);
-    if (k1 == std::string::npos || colon == std::string::npos) continue;
-    m[line.substr(k0 + 1, k1 - k0 - 1)] =
-        std::stoll(line.substr(colon + 1));
-  }
+  if (!in.good()) return m;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const json::Value doc = json::parse(text.str());
+  for (const auto& [key, value] : doc.members()) m[key] = value.as_int();
   return m;
 }
 
 void write_golden(const Metrics& m) {
   std::ofstream out(kGoldenFile);
   ASSERT_TRUE(out.good()) << "cannot write " << kGoldenFile;
-  out << "{\n";
-  std::size_t i = 0;
-  for (const auto& [key, value] : m) {
-    out << "  \"" << key << "\": " << value
-        << (++i == m.size() ? "\n" : ",\n");
-  }
-  out << "}\n";
+  json::Value v = json::Value::object();
+  for (const auto& [key, value] : m) v.set(key, json::Value::integer(value));
+  out << json::write(v);
 }
 
 TEST(Golden, FlowMetricsMatchGolden) {
