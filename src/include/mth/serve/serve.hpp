@@ -41,14 +41,14 @@ struct ServeOptions {
   /// A/B knob — admission bound: jobs queued across all tenants before a
   /// submit gets a typed `rejected` response instead of enqueueing
   /// (`serve/rejected` counter). Sized against the overload behavior of
-  /// `bench_serve` (BENCH_serve.json; gated by tools/perf_smoke.sh) and
-  /// settable via `mth_serve --max-queue`.
+  /// `bench_serve` (gated by tools/perf_smoke.sh) and settable via
+  /// `mth_serve --max-queue`.
   int max_queue = 64;
   /// A/B toggle — result cache: keyed by canonical design/testcase hash +
   /// canonical options hash + flow + route (mth::ser hashing), a hit
   /// replays the stored response byte-identically (only `id`/`cache_hit`
   /// differ) without re-solving. The hit-vs-cold A/B lives in `bench_serve`
-  /// (BENCH_serve.json ≥10× replay gate; tools/perf_smoke.sh) and behind
+  /// (≥10× replay gate; tools/perf_smoke.sh) and behind
   /// `mth_serve --no-cache`.
   bool cache = true;
   /// Cached responses kept (FIFO eviction).
@@ -94,8 +94,7 @@ class Server {
   std::shared_ptr<const rap::RapResult> result_of(const std::string& id) const;
 
  private:
-  // A parsed, admitted envelope (kinds "job" and "repro", plus the
-  // one-release legacy mth_fuzz repro card).
+  // A parsed, admitted envelope (kinds "job" and "repro").
   struct Job {
     std::string id;
     std::string tenant;

@@ -9,7 +9,6 @@
 #include "mth/trace/collector.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
-#include "mth/util/log.hpp"
 
 namespace mth::serve {
 
@@ -62,78 +61,61 @@ std::optional<std::string> Server::submit(const std::string& line) {
   try {
     const ser::Value v = ser::parse(line);
     if (!v.is_object()) throw Error("serve: job envelope must be an object");
-    if (v.find("mth_ser_version") == nullptr) {
-      // One-release legacy reader for pre-ser mth_fuzz repro cards (no
-      // envelope; testcase/scale/generator_seed ad-hoc JSON).
+    const std::string kind = ser::envelope_kind(v);
+    if (kind == "job") {
       ser::reject_unknown_keys(v,
-                               {"testcase", "iteration", "seed_base",
+                               {"mth_ser_version", "kind", "id", "tenant",
+                                "flow", "route", "testcase", "lef", "def",
+                                "options", "eco_base"},
+                               "job");
+    } else if (kind == "repro") {
+      // mth_fuzz repro card, submittable verbatim: the fuzz-forensic
+      // fields ride along and are ignored here.
+      ser::reject_unknown_keys(v,
+                               {"mth_ser_version", "kind", "id", "tenant",
+                                "flow", "route", "testcase", "options",
+                                "eco_base", "iteration", "seed_base",
                                 "generator_seed", "target_cells", "scale",
                                 "findings"},
-                               "legacy repro card");
-      job.testcase = v.get("testcase").as_string();
-      job.id = job.testcase + "#" + std::to_string(v.get("iteration").as_int());
-      job.options.scale = v.get("scale").as_double();
-      job.options.ctx.exec.seed =
-          static_cast<std::uint64_t>(v.get("generator_seed").as_int());
-      MTH_WARN << "serve: legacy repro card accepted (" << job.id
-               << "); re-dump with this release's mth_fuzz";
+                               "repro");
     } else {
-      const std::string kind = ser::envelope_kind(v);
-      if (kind == "job") {
-        ser::reject_unknown_keys(v,
-                                 {"mth_ser_version", "kind", "id", "tenant",
-                                  "flow", "route", "testcase", "lef", "def",
-                                  "options", "eco_base"},
-                                 "job");
-      } else if (kind == "repro") {
-        // mth_fuzz repro card, submittable verbatim: the fuzz-forensic
-        // fields ride along and are ignored here.
-        ser::reject_unknown_keys(v,
-                                 {"mth_ser_version", "kind", "id", "tenant",
-                                  "flow", "route", "testcase", "options",
-                                  "eco_base", "iteration", "seed_base",
-                                  "generator_seed", "target_cells", "scale",
-                                  "findings"},
-                                 "repro");
-      } else {
-        throw Error("serve: unsupported payload kind '" + kind + "'");
-      }
-      if (const ser::Value* f = v.find("id")) job.id = f->as_string();
-      if (const ser::Value* f = v.find("tenant")) job.tenant = f->as_string();
-      if (const ser::Value* f = v.find("flow")) {
-        job.flow = static_cast<int>(f->as_int());
-      }
-      if (const ser::Value* f = v.find("route")) job.route = f->as_bool();
-      if (const ser::Value* f = v.find("testcase")) {
-        job.testcase = f->as_string();
-      }
-      if (const ser::Value* f = v.find("lef")) job.lef_path = f->as_string();
-      if (const ser::Value* f = v.find("def")) job.def_path = f->as_string();
-      if (const ser::Value* f = v.find("eco_base")) {
-        job.eco_base = f->as_string();
-      }
-      if (const ser::Value* f = v.find("options")) {
-        job.options = ser::flow_options_from_value(*f);
-      }
-      if (kind == "repro") {
-        // Legacy-shaped convenience: a repro card's scale shortcut applies
-        // when no options envelope was embedded.
-        if (const ser::Value* f = v.find("scale")) {
-          if (v.find("options") == nullptr) {
-            job.options.scale = f->as_double();
-          }
+      throw Error("serve: unsupported payload kind '" + kind + "'");
+    }
+    if (const ser::Value* f = v.find("id")) job.id = f->as_string();
+    if (const ser::Value* f = v.find("tenant")) job.tenant = f->as_string();
+    if (const ser::Value* f = v.find("flow")) {
+      job.flow = static_cast<int>(f->as_int());
+    }
+    if (const ser::Value* f = v.find("route")) job.route = f->as_bool();
+    if (const ser::Value* f = v.find("testcase")) {
+      job.testcase = f->as_string();
+    }
+    if (const ser::Value* f = v.find("lef")) job.lef_path = f->as_string();
+    if (const ser::Value* f = v.find("def")) job.def_path = f->as_string();
+    if (const ser::Value* f = v.find("eco_base")) {
+      job.eco_base = f->as_string();
+    }
+    if (const ser::Value* f = v.find("options")) {
+      job.options = ser::flow_options_from_value(*f);
+    }
+    if (kind == "repro") {
+      // A repro card's scale shortcut applies when no options envelope was
+      // embedded.
+      if (const ser::Value* f = v.find("scale")) {
+        if (v.find("options") == nullptr) {
+          job.options.scale = f->as_double();
         }
       }
-      const bool external = !job.lef_path.empty() || !job.def_path.empty();
-      if (external && (job.lef_path.empty() || job.def_path.empty())) {
-        throw Error("serve: lef and def must be given together");
-      }
-      if (job.testcase.empty() == !external) {
-        throw Error("serve: job needs exactly one of testcase or lef+def");
-      }
-      if (job.flow < 1 || job.flow > 5) {
-        throw Error("serve: flow must be in 1..5");
-      }
+    }
+    const bool external = !job.lef_path.empty() || !job.def_path.empty();
+    if (external && (job.lef_path.empty() || job.def_path.empty())) {
+      throw Error("serve: lef and def must be given together");
+    }
+    if (job.testcase.empty() == !external) {
+      throw Error("serve: job needs exactly one of testcase or lef+def");
+    }
+    if (job.flow < 1 || job.flow > 5) {
+      throw Error("serve: flow must be in 1..5");
     }
   } catch (const Error& e) {
     return error_response(job.id, e.what());
