@@ -12,12 +12,8 @@
 // against MTH_SPARSE_GAP (default 2x the ILP rel_gap; skipped when either run
 // stopped on the deadline rather than proving its gap), and the process exits
 // nonzero on a violation — tools/perf_smoke.sh relies on that exit code.
-// BENCH_parallel.json and BENCH_ilp_sparse.json are emitted (override the
-// paths with MTH_PARALLEL_JSON / MTH_SPARSE_JSON).
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "common.hpp"
@@ -25,72 +21,7 @@
 #include "mth/report/table.hpp"
 #include "mth/util/log.hpp"
 #include "mth/util/str.hpp"
-
-namespace {
-
-struct SparseRecord {
-  std::string testcase;
-  int minority_cells = 0;
-  int dense_lp_iters = 0;
-  int sparse_lp_iters = 0;
-  int dense_nodes = 0;
-  int sparse_nodes = 0;
-  int basis_reuse_hits = 0;
-  int cand_widenings = 0;
-  int dense_x_vars = 0;
-  int sparse_x_vars = 0;
-  double dense_obj = 0.0;
-  double sparse_obj = 0.0;
-  double rel_dev = 0.0;
-  bool dev_checked = false;  ///< both runs proved their gap (status Optimal)
-  bool dev_ok = true;
-  bool identical_assignment = false;  ///< same rows + cluster pairs as dense
-  double dense_s = 0.0;
-  double sparse_s = 0.0;
-};
-
-void write_sparse_json(const std::vector<SparseRecord>& records) {
-  const char* env = std::getenv("MTH_SPARSE_JSON");
-  const std::string path =
-      env != nullptr && *env != '\0' ? env : "BENCH_ilp_sparse.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "[bench] cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n"
-      << "  \"source\": \"bench_fig5_ilp_scaling\",\n"
-      << "  \"scale\": " << mth::bench::bench_scale() << ",\n"
-      << "  \"records\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const SparseRecord& r = records[i];
-    out << "    {\"testcase\": \"" << r.testcase << "\", "
-        << "\"minority_cells\": " << r.minority_cells << ", "
-        << "\"dense_lp_iters\": " << r.dense_lp_iters << ", "
-        << "\"sparse_lp_iters\": " << r.sparse_lp_iters << ", "
-        << "\"dense_nodes\": " << r.dense_nodes << ", "
-        << "\"sparse_nodes\": " << r.sparse_nodes << ", "
-        << "\"basis_reuse_hits\": " << r.basis_reuse_hits << ", "
-        << "\"cand_widenings\": " << r.cand_widenings << ", "
-        << "\"dense_x_vars\": " << r.dense_x_vars << ", "
-        << "\"sparse_x_vars\": " << r.sparse_x_vars << ", "
-        << "\"dense_obj\": " << r.dense_obj << ", "
-        << "\"sparse_obj\": " << r.sparse_obj << ", "
-        << "\"rel_dev\": " << r.rel_dev << ", "
-        << "\"dev_checked\": " << (r.dev_checked ? "true" : "false") << ", "
-        << "\"dev_ok\": " << (r.dev_ok ? "true" : "false") << ", "
-        << "\"identical_assignment\": "
-        << (r.identical_assignment ? "true" : "false") << ", "
-        << "\"dense_s\": " << r.dense_s << ", "
-        << "\"sparse_s\": " << r.sparse_s << "}"
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "[bench] wrote " << path << " (" << records.size()
-            << " records)\n";
-}
-
-}  // namespace
+#include "mth/util/threadpool.hpp"
 
 int main() {
   using namespace mth;
@@ -113,8 +44,6 @@ int main() {
                    "cost " + std::to_string(threads) + "T (s)", "speedup"});
 
   std::vector<double> xs, ys;
-  std::vector<bench::ParallelRecord> records;
-  std::vector<SparseRecord> sparse_records;
   long long total_dense_iters = 0, total_sparse_iters = 0;
   bool all_dev_ok = true;
   for (const synth::TestcaseSpec& spec : bench::bench_specs()) {
@@ -136,46 +65,24 @@ int main() {
     // Sparse-warm (defaults), with the 1-vs-N-thread bit-identical check.
     bench::ParallelRecord rec;
     const rap::RapResult r = bench::measure_parallel_rap(pc, ro, threads, rec);
-    records.push_back(rec);
     const double rap_s = r.cluster_seconds + r.cost_seconds + r.ilp_seconds;
 
-    SparseRecord sr;
-    sr.testcase = spec.short_name;
-    sr.minority_cells = pc.minority_cells;
-    sr.dense_lp_iters = dense.lp_iterations;
-    sr.sparse_lp_iters = r.lp_iterations;
-    sr.dense_nodes = dense.ilp_nodes;
-    sr.sparse_nodes = r.ilp_nodes;
-    sr.basis_reuse_hits = r.basis_reuse_hits;
-    sr.cand_widenings = r.cand_widenings;
-    sr.dense_x_vars = dense.num_x_vars;
-    sr.sparse_x_vars = r.num_x_vars;
-    sr.dense_obj = dense.objective;
-    sr.sparse_obj = r.objective;
-    sr.identical_assignment =
-        dense.assignment.pair_is_minority == r.assignment.pair_is_minority &&
-        dense.cluster_pair == r.cluster_pair;
-    sr.dense_s = dense_s;
-    sr.sparse_s = rap_s;
     // Objective-quality gate: when both runs prove their gap, the pruned
     // objective may exceed the dense one by at most sparse_gap (relative).
     // Deadline-limited runs carry incumbents of unknown quality — skip.
-    sr.dev_checked = dense.status == ilp::Status::Optimal &&
-                     r.status == ilp::Status::Optimal;
-    if (sr.dev_checked) {
+    if (dense.status == ilp::Status::Optimal &&
+        r.status == ilp::Status::Optimal) {
       const double denom =
           std::abs(dense.objective) > 1e-12 ? std::abs(dense.objective) : 1.0;
-      sr.rel_dev = (r.objective - dense.objective) / denom;
-      sr.dev_ok = sr.rel_dev <= sparse_gap;
-      if (!sr.dev_ok) {
+      const double rel_dev = (r.objective - dense.objective) / denom;
+      if (!(rel_dev <= sparse_gap)) {
         std::cerr << "[fig5] FAIL " << spec.short_name
-                  << ": sparse objective deviates " << sr.rel_dev
+                  << ": sparse objective deviates " << rel_dev
                   << " > allowed " << sparse_gap << " (dense " << dense.objective
                   << ", sparse " << r.objective << ")\n";
         all_dev_ok = false;
       }
     }
-    sparse_records.push_back(sr);
     total_dense_iters += dense.lp_iterations;
     total_sparse_iters += r.lp_iterations;
 
@@ -202,8 +109,6 @@ int main() {
                     : std::string("inf"))
             << "x reduction), objective window " << sparse_gap << " "
             << (all_dev_ok ? "respected" : "VIOLATED") << "\n\n";
-  bench::write_parallel_json("bench_fig5_ilp_scaling", records);
-  write_sparse_json(sparse_records);
 
   // Least-squares fit y = a + b x with Pearson correlation.
   const std::size_t n = xs.size();

@@ -5,12 +5,13 @@
 //
 // Also measures the deterministic parallel layer on the RAP hot phases
 // (cost-matrix build + k-means): each testcase is solved at 1 thread and at
-// MTH_THREADS (default: hardware concurrency), the speedups are tabulated,
-// results are checked bit-identical, and a machine-readable
-// BENCH_parallel.json is emitted (path override: MTH_PARALLEL_JSON).
+// MTH_THREADS (default: hardware concurrency), the speedups are tabulated
+// and results are checked bit-identical.
+//
+// Exits nonzero when tracing costs more than its 2% budget (see
+// measure_trace_overhead).
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 
 #include "common.hpp"
@@ -26,9 +27,9 @@ namespace {
 /// Trace-overhead proof: the same RAP solve, dark vs with a Collector
 /// installed, min-of-N on the deterministic hot phases (clustering +
 /// cost-matrix build — dense span/counter traffic, no ILP-deadline noise).
-/// Also prices a dark instrumentation site directly. Emits
-/// BENCH_trace_overhead.json (override: MTH_TRACE_OVERHEAD_JSON).
-void measure_trace_overhead(const mth::synth::TestcaseSpec& spec,
+/// Also prices a dark instrumentation site directly. Returns false when the
+/// traced hot phases cost more than the 2% budget over the dark ones.
+bool measure_trace_overhead(const mth::synth::TestcaseSpec& spec,
                             mth::flows::FlowOptions opt) {
   using namespace mth;
   // Span traffic is bounded by the fixed chunk geometry while useful work
@@ -75,30 +76,19 @@ void measure_trace_overhead(const mth::synth::TestcaseSpec& spec,
   const double dark_site_ns = dark_timer.seconds() * 1e9 / kDarkSites;
 
   const double budget_pct = 2.0;
-  const char* env = std::getenv("MTH_TRACE_OVERHEAD_JSON");
-  const std::string path =
-      env != nullptr && *env != '\0' ? env : "BENCH_trace_overhead.json";
-  std::ofstream f(path);
-  f << "{\n"
-    << "  \"source\": \"bench_runtime_profile\",\n"
-    << "  \"testcase\": \"" << pc.spec.short_name << "\",\n"
-    << "  \"scale\": " << opt.scale << ",\n"
-    << "  \"repeats\": " << repeats << ",\n"
-    << "  \"workload\": \"rap cluster + cost-matrix phases (min of repeats)\",\n"
-    << "  \"dark_s\": " << dark_s << ",\n"
-    << "  \"traced_s\": " << traced_s << ",\n"
-    << "  \"overhead_pct\": " << overhead_pct << ",\n"
-    << "  \"dark_site_ns\": " << dark_site_ns << ",\n"
-    << "  \"spans_collected\": " << collector.sorted_spans().size() << ",\n"
-    << "  \"budget_pct\": " << budget_pct << ",\n"
-    << "  \"pass\": " << (overhead_pct <= budget_pct ? "true" : "false")
-    << "\n}\n";
   std::cout << "\n=== Trace overhead (sink installed vs dark) ===\n"
             << "hot phases: dark " << format_fixed(dark_s, 4) << "s, traced "
             << format_fixed(traced_s, 4) << "s -> "
             << format_fixed(overhead_pct, 2) << "% (budget "
             << format_fixed(budget_pct, 1) << "%); dark site "
-            << format_fixed(dark_site_ns, 2) << " ns\nwrote " << path << "\n";
+            << format_fixed(dark_site_ns, 2) << " ns\n";
+  if (!(overhead_pct <= budget_pct)) {
+    std::cerr << "[profile] FAIL: trace overhead "
+              << format_fixed(overhead_pct, 2) << "% > budget "
+              << format_fixed(budget_pct, 1) << "%\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -120,7 +110,6 @@ int main() {
   report::Table par_table({"Testcase", "cost 1T (s)",
                            "cost " + std::to_string(threads) + "T (s)",
                            "speedup", "kmeans speedup", "bit-identical"});
-  std::vector<bench::ParallelRecord> records;
   for (const synth::TestcaseSpec& spec : bench::bench_specs()) {
     std::cerr << "[profile] " << spec.short_name << "...\n";
     const flows::PreparedCase pc = flows::prepare_case(spec, opt);
@@ -156,15 +145,14 @@ int main() {
          rec.identical          ? "yes"
          : rec.deadline_limited ? "n/a (ILP deadline)"
                                 : "NO"});
-    records.push_back(rec);
   }
   detail.print(std::cout);
 
   std::cout << "\n=== Parallel layer: RAP hot phases, 1 thread vs "
             << threads << " (MTH_THREADS) ===\n";
   par_table.print(std::cout);
-  bench::write_parallel_json("bench_runtime_profile", records);
-  measure_trace_overhead(bench::bench_specs().front(), opt);
+  const bool overhead_ok =
+      measure_trace_overhead(bench::bench_specs().front(), opt);
 
   report::Table t({"Set", "testcases", "RAP share", "legalization share"});
   const char* cname[] = {"small (<3000 minority)", "medium (3000-5000)",
@@ -182,5 +170,5 @@ int main() {
                " Size classes use the paper's full-scale thresholds, so at"
                " reduced bench scale the absolute shares shift but the"
                " monotone trend must hold.\n";
-  return 0;
+  return overhead_ok ? 0 : 1;
 }

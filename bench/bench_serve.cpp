@@ -18,12 +18,9 @@
 //             a served job. The final DEF text must be byte-identical and
 //             the canonical (timing-stripped) trace summaries must match.
 //
-// BENCH_serve.json is emitted (override with MTH_SERVE_JSON);
-// tools/perf_smoke.sh checks its schema at reduced scale. Exits nonzero
-// when any gate fails.
+// Exits nonzero when any gate fails or no identity case ran;
+// tools/perf_smoke.sh runs it at reduced scale.
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -85,14 +82,6 @@ std::string canonical_summary(const std::string& summary_text) {
   out.set("counters", doc.get("counters"));
   return ser::write_compact(out);
 }
-
-struct IdentityRecord {
-  std::string testcase;
-  bool def_identical = false;
-  bool trace_identical = false;
-  double direct_s = 0.0;
-  double served_s = 0.0;
-};
 
 /// The mth_flow CLI leg, in-process: collector on ctx.sink, prepare + flow 5,
 /// captured design written through io::write_design.
@@ -240,86 +229,38 @@ int main() {
   }
 
   // --- gate (c): server-vs-CLI bit-identity ----------------------------
-  std::vector<IdentityRecord> records;
+  int identity_cases = 0;
   for (const synth::TestcaseSpec& spec : specs) {
     std::cerr << "[serve] identity " << spec.short_name << "...\n";
-    IdentityRecord rec;
-    rec.testcase = spec.short_name;
-
-    WallTimer t_direct;
+    ++identity_cases;
     std::string direct_def, direct_summary;
     run_direct(spec, opt, direct_def, direct_summary);
-    rec.direct_s = t_direct.seconds();
 
     serve::Server fresh({});
     if (fresh.submit(job_envelope(spec.short_name, spec.short_name, opt))) {
       std::cerr << "[serve] FAIL: " << spec.short_name << " not admitted\n";
       all_ok = false;
-      records.push_back(rec);
       continue;
     }
-    WallTimer t_served;
-    const std::vector<std::string> out = fresh.drain();
-    rec.served_s = t_served.seconds();
-    const ser::Value resp = ser::parse(out.at(0));
-    rec.def_identical = resp.get("def").as_string() == direct_def;
-    rec.trace_identical =
+    const ser::Value resp = ser::parse(fresh.drain().at(0));
+    const bool def_identical = resp.get("def").as_string() == direct_def;
+    const bool trace_identical =
         canonical_summary(resp.get("trace_summary").as_string()) ==
         canonical_summary(direct_summary);
-    if (!rec.def_identical || !rec.trace_identical) {
+    if (!def_identical || !trace_identical) {
       std::cerr << "[serve] FAIL: " << spec.short_name
                 << " server vs CLI mismatch (def "
-                << (rec.def_identical ? "ok" : "DIFFERS") << ", trace "
-                << (rec.trace_identical ? "ok" : "DIFFERS") << ")\n";
+                << (def_identical ? "ok" : "DIFFERS") << ", trace "
+                << (trace_identical ? "ok" : "DIFFERS") << ")\n";
       all_ok = false;
     }
-    records.push_back(rec);
   }
-  std::cout << "identity: " << records.size()
+  std::cout << "identity: " << identity_cases
             << " case(s) server vs CLI, def+canonical-trace byte-compare\n";
+  if (identity_cases == 0) {
+    std::cerr << "[serve] FAIL: no identity case ran\n";
+    all_ok = false;
+  }
 
-  // --- artifact ---------------------------------------------------------
-  const char* env = std::getenv("MTH_SERVE_JSON");
-  const std::string path =
-      env != nullptr && *env != '\0' ? env : "BENCH_serve.json";
-  std::ofstream json(path);
-  if (!json) {
-    std::cerr << "[bench] cannot write " << path << "\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"source\": \"bench_serve\",\n"
-       << "  \"scale\": " << bench::bench_scale() << ",\n"
-       << "  \"cache\": {\"testcase\": \"" << cache_case << "\", "
-       << "\"cold_s\": " << cold_s << ", \"replay_s\": " << replay_s << ", "
-       << "\"speedup\": " << cache_speedup << ", "
-       << "\"identical\": " << (hit_identical ? "true" : "false") << "},\n"
-       << "  \"eco\": {\"testcase\": \"" << specs.front().short_name << "\", "
-       << "\"perturbed_cells\": " << moved << ", "
-       << "\"total_cells\": " << n << ", "
-       << "\"cold_s\": " << eco_cold_s << ", \"warm_s\": " << eco_warm_s
-       << ", \"speedup\": " << eco_speedup << ", "
-       << "\"cold_lp_iterations\": " << eco_cold.lp_iterations << ", "
-       << "\"warm_lp_iterations\": " << eco_warm.lp_iterations << ", "
-       << "\"cold_reuse_hits\": " << eco_cold.basis_reuse_hits << ", "
-       << "\"warm_reuse_hits\": " << eco_warm.basis_reuse_hits << ", "
-       << "\"hot_engaged\": " << (eco_hot == 1 ? "true" : "false") << ", "
-       << "\"fewer_iterations\": " << (fewer_iterations ? "true" : "false")
-       << "},\n"
-       << "  \"records\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const IdentityRecord& r = records[i];
-    json << "    {\"testcase\": \"" << r.testcase << "\", "
-         << "\"def_identical\": " << (r.def_identical ? "true" : "false")
-         << ", "
-         << "\"trace_identical\": " << (r.trace_identical ? "true" : "false")
-         << ", "
-         << "\"direct_s\": " << r.direct_s << ", "
-         << "\"served_s\": " << r.served_s << "}"
-         << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "\n[bench] wrote " << path << " (" << records.size()
-            << " identity records)\n";
   return all_ok ? 0 : 1;
 }

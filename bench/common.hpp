@@ -9,14 +9,11 @@
 //   MTH_ILP_SECONDS=<float>  per-RAP ILP deadline (default 10)
 
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "mth/flows/flow.hpp"
 #include "mth/synth/testcases.hpp"
-#include "mth/util/threadpool.hpp"
 
 namespace mth::bench {
 
@@ -82,9 +79,6 @@ inline double mean_ratio(const std::vector<double>& value,
 
 /// One serial-vs-parallel measurement of the RAP hot phases on a testcase.
 struct ParallelRecord {
-  std::string testcase;
-  int minority_cells = 0;
-  int threads = 0;               ///< parallel run's worker count
   double serial_cost_s = 0.0;    ///< cost-matrix build, num_threads = 1
   double parallel_cost_s = 0.0;  ///< cost-matrix build, num_threads = threads
   double serial_cluster_s = 0.0;
@@ -110,9 +104,6 @@ inline rap::RapResult measure_parallel_rap(const flows::PreparedCase& pc,
   const rap::RapResult serial = rap::solve_rap(pc.initial, ro);
   ro.ctx.exec.num_threads = threads;
   const rap::RapResult parallel = rap::solve_rap(pc.initial, ro);
-  rec.testcase = pc.spec.short_name;
-  rec.minority_cells = pc.minority_cells;
-  rec.threads = threads;
   rec.serial_cost_s = serial.cost_seconds;
   rec.parallel_cost_s = parallel.cost_seconds;
   rec.serial_cluster_s = serial.cluster_seconds;
@@ -126,46 +117,6 @@ inline rap::RapResult measure_parallel_rap(const flows::PreparedCase& pc,
   rec.deadline_limited = serial.status != ilp::Status::Optimal ||
                          parallel.status != ilp::Status::Optimal;
   return parallel;
-}
-
-/// Emit the machine-readable serial-vs-parallel report. Path from
-/// MTH_PARALLEL_JSON (default BENCH_parallel.json in the working directory).
-inline void write_parallel_json(const std::string& source,
-                                const std::vector<ParallelRecord>& records) {
-  const char* env = std::getenv("MTH_PARALLEL_JSON");
-  const std::string path =
-      env != nullptr && *env != '\0' ? env : "BENCH_parallel.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "[bench] cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n"
-      << "  \"source\": \"" << source << "\",\n"
-      << "  \"scale\": " << bench_scale() << ",\n"
-      << "  \"default_threads\": " << util::default_num_threads() << ",\n"
-      << "  \"records\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const ParallelRecord& r = records[i];
-    out << "    {\"testcase\": \"" << r.testcase << "\", "
-        << "\"minority_cells\": " << r.minority_cells << ", "
-        << "\"threads\": " << r.threads << ", "
-        << "\"serial_cost_s\": " << r.serial_cost_s << ", "
-        << "\"parallel_cost_s\": " << r.parallel_cost_s << ", "
-        << "\"cost_speedup\": " << speedup(r.serial_cost_s, r.parallel_cost_s)
-        << ", "
-        << "\"serial_cluster_s\": " << r.serial_cluster_s << ", "
-        << "\"parallel_cluster_s\": " << r.parallel_cluster_s << ", "
-        << "\"cluster_speedup\": "
-        << speedup(r.serial_cluster_s, r.parallel_cluster_s) << ", "
-        << "\"identical\": " << (r.identical ? "true" : "false") << ", "
-        << "\"deadline_limited\": "
-        << (r.deadline_limited ? "true" : "false") << "}"
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "\n[bench] wrote " << path << " (" << records.size()
-            << " records)\n";
 }
 
 inline std::string scale_banner() {

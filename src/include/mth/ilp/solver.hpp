@@ -46,9 +46,9 @@ struct Options {
   /// A/B toggle — start each node's LP from the parent's optimal basis
   /// (dual simplex re-solve) instead of a cold two-phase solve. false =
   /// cold baseline. The warm-vs-cold A/B lives in `bench_fig5_ilp_scaling`
-  /// (BENCH_ilp_sparse.json; gated by tools/perf_smoke.sh); no dedicated
-  /// CLI flag. Acceptance rate shows up as Result::basis_reuse_hits and the
-  /// `lp/warm_hits` trace counter (README "Observability").
+  /// (gated by tools/perf_smoke.sh); no dedicated CLI flag. Acceptance
+  /// rate shows up as Result::basis_reuse_hits and the `lp/warm_hits` trace
+  /// counter (README "Observability").
   bool warm_basis = true;
   /// A/B knob — deterministic parallel branch & bound batch width. Each
   /// round pops up to `node_batch` open nodes in best-first order, solves
@@ -59,7 +59,7 @@ struct Options {
   /// thread count only moves wall-clock, so results are bit-identical at any
   /// MTH_THREADS. 1 = the historical serial best-first loop (in-place bound
   /// mutation, no model copies). The serial-vs-batch A/B lives in
-  /// `bench_scaling` (BENCH_shard.json; gated by tools/perf_smoke.sh).
+  /// `bench_scaling` (gated by tools/perf_smoke.sh).
   int node_batch = 1;
   /// Worker threads for batch node LP solves (-1 = process default, see
   /// util::ParallelOptions). Never affects results, only wall-clock; ignored

@@ -47,7 +47,7 @@ struct RapOptions {
   /// cluster, shrinking the ILP from N_C*N_R to N_C*K variables. 0 =
   /// dense/exact formulation — every row stays a candidate. The dense-cold
   /// vs sparse-warm A/B lives in `bench_fig5_ilp_scaling`
-  /// (BENCH_ilp_sparse.json; gated by tools/perf_smoke.sh). A cluster whose
+  /// (gated by tools/perf_smoke.sh). A cluster whose
   /// pruned set cannot absorb it is widened (candidate count doubled) until
   /// feasible, so pruning never manufactures infeasibility.
   int max_cand_rows = 64;
@@ -79,8 +79,7 @@ struct RapOptions {
   /// count, N > 1 = exactly min(N, feasible) bands. Decomposition trades the
   /// whole-design certificate for per-band certificates aggregated by
   /// verify::certify_rap. The sharded-vs-whole A/B lives in `bench_scaling`
-  /// (BENCH_shard.json; gated by tools/perf_smoke.sh) and behind
-  /// `mth_flow --shards`.
+  /// (gated by tools/perf_smoke.sh) and behind `mth_flow --shards`.
   int shards = 1;
   /// Pairs on each side of a band boundary re-optimized by the boundary
   /// repair ILP after the band merge (solve_rap_sharded only).
@@ -96,8 +95,8 @@ struct RapOptions {
   /// hint never changes the answer, only the work — incompatible or
   /// infeasible hints fall back to the cold path. Acceptance shows up as
   /// RapResult::basis_reuse_hits and the `rap/eco_hot` trace counter. The
-  /// warm-vs-cold ECO A/B lives in `bench_serve` (BENCH_serve.json; gated
-  /// by tools/perf_smoke.sh) and behind the mth_serve `eco_base` job field.
+  /// warm-vs-cold ECO A/B lives in `bench_serve` (gated by
+  /// tools/perf_smoke.sh) and behind the mth_serve `eco_base` job field.
   std::shared_ptr<const RapResult> eco_base;
 
   static ilp::Options default_ilp_options() {

@@ -32,7 +32,7 @@ struct SpanStat {
 /// then export. Collection is append-only under one mutex — spans are
 /// coarse (stage/phase/chunk granularity; the hottest per-iteration work is
 /// counter-only), so contention stays far below the 2% overhead budget
-/// (bench_runtime_profile emits BENCH_trace_overhead.json as proof).
+/// (bench_runtime_profile measures it and exits nonzero above the budget).
 class Collector final : public Sink {
  public:
   void span(const SpanRecord& rec) override;
