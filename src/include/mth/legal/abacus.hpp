@@ -11,6 +11,7 @@
 // mixed-height snap after mLEF revert.
 
 #include <functional>
+#include <vector>
 
 #include "mth/db/design.hpp"
 
@@ -27,7 +28,9 @@ struct AbacusOptions {
   /// non-negative.
   double y_weight = 1.0;
   /// Initial row search window (rows above/below the target), doubled until
-  /// a feasible row is found; at least 1.
+  /// a feasible row is found; at least 1. A window is clamped to the row
+  /// count, which already reaches every row, so any value at or above it
+  /// searches the whole floorplan at once.
   int initial_row_window = 4;
 };
 
@@ -35,10 +38,17 @@ struct AbacusResult {
   bool success = false;
   Dbu total_displacement = 0;  ///< vs. positions at call time
   Dbu max_displacement = 0;
+  /// Per floorplan row, its cells left to right as placed: the (x, id)
+  /// order RowList builds, since every master is wider than 0. Empty when
+  /// success is false.
+  std::vector<std::vector<InstId>> rows;
 };
 
 /// Legalize the design in place: every cell lands on a site inside a row
 /// (height-compatible; track-height-compatible when requested), no overlaps.
+/// Each cell joins the row whose trial append costs least (|x shift| +
+/// y_weight * |y shift|) within the first window that admits it; ties go to
+/// the lower row.
 /// Throws mth::Error for options outside their documented ranges.
 AbacusResult abacus_legalize(Design& design, const AbacusOptions& options = {});
 

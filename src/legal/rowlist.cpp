@@ -9,13 +9,8 @@ namespace mth::legal {
 
 RowList::RowList(const Design& design) {
   const Netlist& nl = design.netlist;
-  const std::size_t n = static_cast<std::size_t>(nl.num_instances());
   const std::size_t r = static_cast<std::size_t>(design.floorplan.num_rows());
-  pred_.assign(n, kInvalidId);
-  next_.assign(n, kInvalidId);
-  row_of_.assign(n, -1);
-  row_first_.assign(r, kInvalidId);
-  row_last_.assign(r, kInvalidId);
+  reset(static_cast<std::size_t>(nl.num_instances()), r);
 
   // The one sanctioned row scan: bucket by containing row, sort by (x, id).
   std::vector<std::vector<InstId>> buckets(r);
@@ -31,16 +26,57 @@ RowList::RowList(const Design& design) {
       const Dbu xc = nl.instance(c).pos.x;
       return xa != xc ? xa < xc : a < c;
     });
-    for (std::size_t k = 0; k < b.size(); ++k) {
-      const InstId i = b[k];
-      row_of_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(row);
-      pred_[static_cast<std::size_t>(i)] = k > 0 ? b[k - 1] : kInvalidId;
-      next_[static_cast<std::size_t>(i)] =
-          k + 1 < b.size() ? b[k + 1] : kInvalidId;
-    }
-    row_first_[row] = b.empty() ? kInvalidId : b.front();
-    row_last_[row] = b.empty() ? kInvalidId : b.back();
+    link_row(row, b);
   }
+}
+
+RowList::RowList(const Design& design,
+                 const std::vector<std::vector<InstId>>& rows) {
+  const Netlist& nl = design.netlist;
+  const int n = nl.num_instances();
+  MTH_ASSERT(static_cast<int>(rows.size()) == design.floorplan.num_rows(),
+             "rowlist: one row order per floorplan row expected");
+  reset(static_cast<std::size_t>(n), rows.size());
+  std::size_t linked = 0;
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    const std::vector<InstId>& cells = rows[row];
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const InstId i = cells[k];
+      MTH_ASSERT(i >= 0 && i < n && row_of_[static_cast<std::size_t>(i)] < 0,
+                 "rowlist: row order lists an instance twice or out of range");
+      row_of_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(row);
+      if (k > 0) {
+        const InstId p = cells[k - 1];
+        const Dbu xp = nl.instance(p).pos.x;
+        const Dbu xi = nl.instance(i).pos.x;
+        MTH_ASSERT(xp < xi || (xp == xi && p < i),
+                   "rowlist: row order is not (x, id)-sorted");
+      }
+    }
+    linked += cells.size();
+    link_row(row, cells);
+  }
+  MTH_ASSERT(linked == static_cast<std::size_t>(n),
+             "rowlist: row order misses an instance");
+}
+
+void RowList::reset(std::size_t num_instances, std::size_t num_rows) {
+  pred_.assign(num_instances, kInvalidId);
+  next_.assign(num_instances, kInvalidId);
+  row_of_.assign(num_instances, -1);
+  row_first_.assign(num_rows, kInvalidId);
+  row_last_.assign(num_rows, kInvalidId);
+}
+
+void RowList::link_row(std::size_t row, const std::vector<InstId>& cells) {
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    const auto i = static_cast<std::size_t>(cells[k]);
+    row_of_[i] = static_cast<std::int32_t>(row);
+    pred_[i] = k > 0 ? cells[k - 1] : kInvalidId;
+    next_[i] = k + 1 < cells.size() ? cells[k + 1] : kInvalidId;
+  }
+  row_first_[row] = cells.empty() ? kInvalidId : cells.front();
+  row_last_[row] = cells.empty() ? kInvalidId : cells.back();
 }
 
 void RowList::swap_adjacent(InstId left, InstId right) {

@@ -16,7 +16,9 @@
 //   cell, so a touched net's "before" HPWL is its current HPWL. The cache
 //   holds every net's current HPWL: built once at construction, and
 //   refreshed for the touched nets from the values after() computed each
-//   time a swap is kept (a rejected swap restores both cells).
+//   time a swap is kept (a rejected swap restores both cells). Between
+//   candidates the cache's sum is therefore the design's total HPWL, which
+//   rc_legalize reads after each sweep instead of rescanning.
 // - after() rescans each distinct touched net once, with the same integer
 //   bounding-box arithmetic as net_hpwl().
 // - Both sums are Dbu integers, so multiplicity × HPWL per distinct net
@@ -32,9 +34,10 @@ namespace mth::legal::detail {
 
 class SwapMetric {
  public:
-  /// Cache every net's HPWL at the design's current positions. The design
-  /// must outlive the metric, and only the polish may move its cells.
-  explicit SwapMetric(const Design& design);
+  /// Cache every net's HPWL at the current positions of the design `pins`
+  /// reads. The table (and its design) must outlive the metric, and only
+  /// the polish may move the design's cells.
+  explicit SwapMetric(const db::PinTable& pins);
 
   /// Collect the nets of candidate (a, b) and return the metric at the
   /// current positions, read from the cache.
@@ -48,6 +51,11 @@ class SwapMetric {
   /// HPWLs of the touched nets.
   void accept();
 
+  /// Sum of the cached HPWLs: total_hpwl() of the design whenever no
+  /// candidate is open (every swap since the last before() was accepted or
+  /// undone).
+  Dbu total() const;
+
  private:
   struct Touched {
     NetId net = kInvalidId;
@@ -56,7 +64,7 @@ class SwapMetric {
     Dbu after = 0;     ///< HPWL found by the last after()
   };
 
-  db::PinTable pins_;
+  const db::PinTable& pins_;
   std::vector<Dbu> hp_;               ///< per net: current HPWL
   std::vector<std::uint32_t> mark_;   ///< per net: stamp of the last before()
   std::vector<std::uint32_t> slot_;   ///< per net: index into touched_

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "median.hpp"
 #include "mth/db/metrics.hpp"
 #include "mth/flows/flow.hpp"
 #include "mth/rap/fence.hpp"
 #include "mth/rap/rap.hpp"
 #include "mth/rap/rclegal.hpp"
+#include "mth/util/rng.hpp"
 
 namespace mth::rap {
 namespace {
@@ -379,14 +384,28 @@ TEST(RcLegal, RowConstraintHolds) {
 }
 
 TEST(RcLegal, ReportsHpwlTrajectory) {
+  // hpwl_before is read from the pin table and hpwl_after from the polish's
+  // per-net cache; both must equal the metrics module's full scan, in both
+  // modes and at every pass count (a rejected last pass restores the best).
   const auto& pc = small_case();
-  Design d = pc.initial;
-  const RapResult r = solve_rap(d, base_options(pc));
-  const RcLegalResult lr = rc_legalize(d, r.assignment);
-  ASSERT_TRUE(lr.success);
-  EXPECT_GT(lr.hpwl_before, 0);
-  EXPECT_GT(lr.hpwl_after, 0);
-  EXPECT_EQ(lr.hpwl_after, total_hpwl(d));
+  const RapResult r = solve_rap(pc.initial, base_options(pc));
+  const Dbu entry = total_hpwl(pc.initial);
+  for (const bool enforce : {true, false}) {
+    for (int passes = 0; passes <= 5; ++passes) {
+      Design d = pc.initial;
+      RcLegalOptions opt;
+      opt.refine_passes = passes;
+      opt.enforce_assignment = enforce;
+      const RcLegalResult lr = rc_legalize(
+          d, enforce ? r.assignment : RowAssignment::all_majority(d.floorplan.num_pairs()),
+          opt);
+      ASSERT_TRUE(lr.success) << enforce << " " << passes;
+      EXPECT_EQ(lr.passes_used, passes) << enforce;
+      EXPECT_GT(lr.hpwl_before, 0);
+      EXPECT_EQ(lr.hpwl_before, entry) << enforce << " " << passes;
+      EXPECT_EQ(lr.hpwl_after, total_hpwl(d)) << enforce << " " << passes;
+    }
+  }
 }
 
 TEST(RcLegal, MorePassesNeverWorse) {
@@ -414,6 +433,56 @@ TEST(RcLegal, UnconstrainedModeIgnoresAssignment) {
   std::string why;
   EXPECT_TRUE(placement_is_legal(d, &why)) << why;
   EXPECT_LE(lr.hpwl_after, lr.hpwl_before);
+}
+
+// Median selection vs the nth_element median it replaced;
+// parent_median_of is a verbatim copy of rc_legalize's former median_of.
+Dbu parent_median_of(std::vector<Dbu>& v, Dbu fallback) {
+  if (v.empty()) return fallback;
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
+  Dbu m = v[mid];
+  if (v.size() % 2 == 0) {
+    const auto lo = std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
+    m = (*lo + m) / 2;
+  }
+  return m;
+}
+
+TEST(RcLegal, MedianMatchesNthElement) {
+  Rng rng(41);
+  std::int64_t checked = 0;
+  for (std::size_t size = 0; size <= 200; ++size) {
+    for (int trial = 0; trial < 60; ++trial) {
+      // Spreads from all-equal through heavy duplicates to wide values, with
+      // negatives and odd sums (the midpoint rounds toward zero), in random,
+      // sorted, reversed and organ-pipe orders.
+      const std::int64_t spreads[] = {0, 1, 3, 20, 1000, 4000000000000LL};
+      const std::int64_t spread = spreads[trial % 6];
+      const std::int64_t offset = rng.uniform_int(-50, 50);
+      std::vector<Dbu> v(size);
+      for (Dbu& x : v) x = offset + rng.uniform_int(-spread, spread);
+      switch ((trial / 6) % 4) {
+        case 1: std::sort(v.begin(), v.end()); break;
+        case 2: std::sort(v.rbegin(), v.rend()); break;
+        case 3:
+          std::sort(v.begin(), v.end());
+          std::reverse(v.begin() + static_cast<std::ptrdiff_t>(size / 2), v.end());
+          break;
+        default: break;
+      }
+      std::vector<Dbu> want = v;
+      const Dbu fallback = rng.uniform_int(-9, 9);
+      ASSERT_EQ(detail::median_of(v, fallback), parent_median_of(want, fallback))
+          << "size " << size << " trial " << trial;
+      // A permutation of the input, like nth_element's.
+      std::sort(v.begin(), v.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(v, want) << "size " << size << " trial " << trial;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 201 * 60);
 }
 
 TEST(Rap, TinyInstanceMatchesBruteForce) {

@@ -8,6 +8,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mth/db/metrics.hpp"
@@ -18,6 +19,7 @@
 #include "mth/liberty/asap7.hpp"
 #include "mth/place/placer.hpp"
 #include "mth/synth/generator.hpp"
+#include "mth/util/error.hpp"
 
 namespace mth::legal {
 namespace {
@@ -92,6 +94,51 @@ TEST(RowList, BuildMatchesBruteForceModel) {
   expect_matches_model(rows, model_of(d));
   std::string why;
   EXPECT_TRUE(rows.check(d, &why)) << why;
+}
+
+TEST(RowList, LinksAbacusRowOrder) {
+  // Linking the order Abacus placed cells in must give the list the sorted
+  // build gives, on uniform rows and with a class filter.
+  for (const bool filtered : {false, true}) {
+    Design d = make_placed_design("vga_270", 0.03);
+    AbacusOptions opt;
+    if (filtered) opt.row_filter = [](InstId cell, int row) { return (row + cell) % 3 == 0; };
+    const AbacusResult ar = abacus_legalize(d, opt);
+    ASSERT_TRUE(ar.success);
+    ASSERT_EQ(static_cast<int>(ar.rows.size()), d.floorplan.num_rows());
+    const RowList rows(d, ar.rows);
+    expect_matches_model(rows, model_of(d));
+    std::string why;
+    EXPECT_TRUE(rows.check(d, &why)) << why;
+  }
+}
+
+TEST(RowList, RejectsMalformedRowOrder) {
+  const Design d = make_placed_design("aes_360", 0.03);
+  const std::vector<std::vector<InstId>> good = model_of(d);
+  std::size_t row = 0;  // a row holding at least two cells
+  while (good[row].size() < 2) ++row;
+  auto rejects = [&d](const std::vector<std::vector<InstId>>& order) {
+    try {
+      const RowList rows(d, order);
+    } catch (const mth::Error&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(rejects(good));
+  auto swapped = good;  // out of (x, id) order
+  std::swap(swapped[row][0], swapped[row][1]);
+  EXPECT_TRUE(rejects(swapped));
+  auto missing = good;
+  missing[row].pop_back();
+  EXPECT_TRUE(rejects(missing));
+  auto twice = good;
+  twice[row].push_back(good[row][0]);
+  EXPECT_TRUE(rejects(twice));
+  auto short_of_rows = good;
+  short_of_rows.pop_back();
+  EXPECT_TRUE(rejects(short_of_rows));
 }
 
 TEST(RowList, RandomizedOpsStayConsistentWithModel) {
