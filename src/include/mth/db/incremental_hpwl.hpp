@@ -16,9 +16,14 @@
 //
 // Moves are journaled (LIFO): revert() undoes the most recent un-reverted
 // apply_move exactly, restoring the instance position and every touched
-// net's cached box. sync_with() re-syncs after *external* bulk mutation
-// (abacus, swap_polish) by rebuilding the caches in place — one rescan per
-// legalization pass instead of one per candidate move; it clears the journal.
+// net's cached box. sync_with() re-syncs after *external* bulk mutation by
+// rebuilding the caches in place; it clears the journal.
+//
+// The engine serves legal::improve_placement, whose moves are costed on the
+// total HPWL and undone with revert(), and bench_micro_kernels, which times
+// it against the per-move rescan. rap::rc_legalize does not use it: its
+// median pulls are accepted without a cost, and it reads each pass's HPWL
+// from the swap polish's per-net cache.
 
 #include <cstdint>
 #include <vector>
@@ -37,10 +42,6 @@ class IncrementalHpwl {
   /// edits (add_*/connect) and master changes invalidate it entirely —
   /// rebuild instead.
   explicit IncrementalHpwl(Design& design);
-
-  /// The engine's pin table, for callers that read pin positions of the
-  /// same design.
-  const PinTable& pins() const { return pins_; }
 
   /// Current total HPWL; equals total_hpwl(*design) at all times.
   Dbu total() const { return total_; }
