@@ -1,17 +1,13 @@
 // Experiments P1 + P4.
 //
-// Default mode (P4): before/after harness for the SIMD/incremental kernel
-// layer. Two gated measurements on a prepared testcase, single-threaded:
+// Default mode (P4): before/after harness for the SIMD kernel layer. One
+// gated measurement on a prepared testcase, single-threaded:
 //
 //  * cost_matrix — the f_cr build. "Before" is the pre-SIMD nested-loop
 //    implementation (YExtremes::span_with per (cell, row), nested vectors),
 //    reproduced here verbatim as the reference; "after" is
 //    rap::detail::build_cost_matrix (flat SoA buffer + mth::simd kernels).
 //    Outputs must be bit-identical.
-//  * dhpwl — per-move HPWL costing. "Before" re-scans the netlist with
-//    total_hpwl() after every move (the historical rclegal pattern);
-//    "after" is db::IncrementalHpwl::apply_move. Totals must match the
-//    fresh scan exactly, including after reverting every move.
 //
 // Exits nonzero when a gated kernel's speedup falls below
 // MTH_KERNEL_MIN_SPEEDUP or any identity check fails. The default gate is
@@ -35,8 +31,6 @@
 
 #include "common.hpp"
 #include "mth/cluster/kmeans.hpp"
-#include "mth/db/incremental_hpwl.hpp"
-#include "mth/db/metrics.hpp"
 #include "mth/ilp/solver.hpp"
 #include "mth/legal/abacus.hpp"
 #include "mth/lp/simplex.hpp"
@@ -91,7 +85,7 @@ int calibrate_iters(Fn&& fn, double target_s) {
 struct KernelRecord {
   std::string kernel;
   std::string testcase;
-  std::int64_t n = 0;  ///< problem size (matrix entries / moves / lanes)
+  std::int64_t n = 0;  ///< problem size (matrix entries / lanes)
   double before_s = 0.0;
   double after_s = 0.0;
   bool identical = false;
@@ -187,90 +181,6 @@ KernelRecord measure_cost_matrix(const flows::PreparedCase& pc) {
   return rec;
 }
 
-KernelRecord measure_dhpwl(const flows::PreparedCase& pc) {
-  Design d = pc.initial;
-  const int n_inst = d.netlist.num_instances();
-  const Rect core = d.floorplan.core();
-  Rng rng(11);
-  const int n_moves = std::clamp(n_inst, 64, 4096);
-  std::vector<std::pair<InstId, Point>> moves;
-  moves.reserve(static_cast<std::size_t>(n_moves));
-  for (int m = 0; m < n_moves; ++m) {
-    const InstId i =
-        static_cast<InstId>(rng.uniform_int(0, static_cast<Dbu>(n_inst - 1)));
-    const Instance& inst = d.netlist.instance(i);
-    const Point jitter{rng.uniform_int(-5000, 5000),
-                       rng.uniform_int(-5000, 5000)};
-    moves.push_back({i, core.clamp(inst.pos + jitter)});
-  }
-  const std::vector<Point> start = placement_snapshot(d);
-  const auto restore = [&] {
-    for (InstId i = 0; i < n_inst; ++i) {
-      d.netlist.instance(i).pos = start[static_cast<std::size_t>(i)];
-    }
-  };
-
-  KernelRecord rec;
-  rec.kernel = "dhpwl";
-  rec.testcase = pc.spec.short_name;
-  rec.n = n_moves;
-
-  // Correctness pass (untimed): engine total vs fresh scan on a sample of
-  // prefixes, then full LIFO revert back to the exact starting total.
-  {
-    db::IncrementalHpwl eng(d);
-    const Dbu at_start = eng.total();
-    rec.identical = at_start == total_hpwl(d, 1);
-    for (std::size_t m = 0; m < moves.size(); ++m) {
-      const Dbu t = eng.apply_move(moves[m].first, moves[m].second);
-      if (m % 97 == 0) rec.identical = rec.identical && t == total_hpwl(d, 1);
-    }
-    rec.identical = rec.identical && eng.total() == total_hpwl(d, 1);
-    for (std::size_t m = 0; m < moves.size(); ++m) eng.revert();
-    rec.identical = rec.identical && eng.total() == at_start &&
-                    placement_snapshot(d) == start;
-  }
-
-  // Timed "before": the historical pattern — mutate, then full rescan.
-  restore();
-  rec.before_s = time_best(
-                     [&] {
-                       Dbu acc = 0;
-                       for (const auto& [i, p] : moves) {
-                         d.netlist.instance(i).pos = p;
-                         acc += total_hpwl(d, 1);
-                       }
-                       benchmark::DoNotOptimize(acc);
-                     },
-                     2) /
-                 n_moves;
-
-  // Timed "after": one engine build outside the timer (rclegal builds once
-  // per call), then per-move incremental application.
-  restore();
-  db::IncrementalHpwl eng(d);
-  const int iters = calibrate_iters(
-      [&] {
-        Dbu acc = 0;
-        for (const auto& [i, p] : moves) acc += eng.apply_move(i, p);
-        benchmark::DoNotOptimize(acc);
-      },
-      0.02);
-  rec.after_s = time_best(
-                    [&] {
-                      for (int it = 0; it < iters; ++it) {
-                        Dbu acc = 0;
-                        for (const auto& [i, p] : moves) {
-                          acc += eng.apply_move(i, p);
-                        }
-                        benchmark::DoNotOptimize(acc);
-                      }
-                    },
-                    3) /
-                (static_cast<double>(iters) * n_moves);
-  return rec;
-}
-
 KernelRecord measure_gather_dist2() {
   const std::size_t k = 4096;
   Rng rng(23);
@@ -322,7 +232,6 @@ int run_kernel_harness() {
 
   std::vector<KernelRecord> records;
   records.push_back(measure_cost_matrix(pc));
-  records.push_back(measure_dhpwl(pc));
   records.push_back(measure_gather_dist2());
 
   bool ok = true;

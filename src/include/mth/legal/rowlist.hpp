@@ -7,17 +7,17 @@
 // the row ends) and per row the first (leftmost) and last (rightmost)
 // instance. After the one-time O(n log n) build, or an O(n) link of a row
 // order the caller already has (rc_legalize links Abacus's), every neighbor
-// query and every structural update an in-row move needs — swap two
-// adjacent cells, remove a cell, re-insert it elsewhere — is O(1) pointer
-// surgery, which is what lets swap_polish and improve_placement evaluate
-// moves at IncrementalHpwl speed instead of re-bucketing and re-sorting rows
-// per sweep. The improver relies on this: mth_lint's row-rescan rule bans
-// row_at_y / std::sort from legal/polish and legal/improve so per-move row
-// rescans cannot creep back in (the build below is the one sanctioned scan).
+// query and the one structural update the in-row moves need — swap two
+// adjacent cells — is O(1) pointer surgery. That is what lets the swap
+// sweep shared by swap_polish and improve_placement, and the improver's
+// shifts, run on the per-net HPWL cache instead of re-bucketing and
+// re-sorting rows per sweep. mth_lint's row-rescan rule bans row_at_y /
+// std::sort from legal/polish and legal/improve so per-move row rescans
+// cannot creep back in (the build below is the one sanctioned scan).
 //
-// The structure tracks *order*, not coordinates: callers move cells through
-// db::IncrementalHpwl (or directly) and must keep the list consistent with
-// the x-order of the design via swap_adjacent/remove/insert_after. check()
+// The structure tracks *order*, not coordinates: callers move cells
+// directly and must keep the list consistent with the x-order of the design
+// via swap_adjacent (a shift inside its gap keeps the order). check()
 // verifies the full invariant set (pred/next symmetry, row_first/row_last
 // reachability, x-sorted order, every instance in exactly one row) against
 // the design and is property-tested in rowlist_test against a brute-force
@@ -32,8 +32,6 @@ namespace mth::legal {
 
 class RowList {
  public:
-  RowList() = default;
-
   /// Build from a placed design: instances are bucketed by the row containing
   /// their y and chained in x-order (ties broken by InstId, so the build is
   /// deterministic on any input).
@@ -67,13 +65,6 @@ class RowList {
   /// Exchange two adjacent cells of one row: `left` must be pred(right).
   /// After the call `right` precedes `left`. O(1).
   void swap_adjacent(InstId left, InstId right);
-
-  /// Unlink `i` from its row (row_of becomes -1). O(1).
-  void remove(InstId i);
-
-  /// Link `i` into `row` directly after `after` (kInvalidId = at the row
-  /// front). `i` must currently be unlinked. O(1).
-  void insert_after(InstId i, int row, InstId after);
 
   /// Verify every invariant against `design`: pred/next symmetry, row ends
   /// consistent, every instance reachable from exactly one row_first chain,

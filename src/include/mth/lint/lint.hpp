@@ -28,13 +28,14 @@
 //    merge in index order (simd::argmin_merge) to stay bit-identical to the
 //    scalar tier. And total_hpwl() — a full-netlist rescan — inside a loop
 //    in the rap or legal modules needs an inline justification; per-move
-//    costing goes through db::IncrementalHpwl instead. Similarly, the
+//    costing goes through the legal module's per-net HPWL cache
+//    (legal::detail::SwapMetric) instead. Similarly, the
 //    detailed-placement sweeps (legal/polish, legal/improve) hold an O(1)
 //    neighbor-query contract through legal::RowList: row_at_y(...) and
 //    sort/stable_sort calls are banned there, so a per-sweep row re-bucket
 //    or re-sort cannot creep back in (legal/rowlist.cpp's build is the one
-//    sanctioned scan). Inside loops of legal/polish, rap/rclegal and
-//    db/incremental_hpwl, pins are read through db::PinTable, so
+//    sanctioned scan). Inside loops of legal/polish, legal/improve and
+//    rap/rclegal, pins are read through db::PinTable, so
 //    Netlist::pin_position(...) calls there are flagged.
 //
 //  * parallel rules — the semantic layer (v2). A lightweight scope parser on

@@ -1,85 +1,35 @@
 #include "mth/legal/improve.hpp"
 
 #include <array>
+#include <cstdint>
+#include <functional>
 
-#include "mth/db/incremental_hpwl.hpp"
+#include "mth/db/pintable.hpp"
 #include "mth/legal/rowlist.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
+#include "swap_metric.hpp"
 
 namespace mth::legal {
 namespace {
 
-struct Grader {
-  const ImproveOptions* opts = nullptr;
-  const Design* design = nullptr;
-  int accepted = 0;
-
-  void on_accept() {
-    ++accepted;
-    if (opts->oracle && opts->oracle_every > 0 &&
-        accepted % opts->oracle_every == 0) {
-      MTH_ASSERT(opts->oracle(*design),
-                 "improve: oracle rejected the placement after move " +
-                     std::to_string(accepted));
-    }
-  }
-};
-
-/// Adjacent-swap sweep: same move, acceptance test, and cursor rule as
-/// legal/polish (envelope-preserving exchange, accept on strict total-HPWL
-/// decrease, accepted swaps keep the cursor on the moved-right cell).
-int swap_sweep(Design& design, RowList& rows, db::IncrementalHpwl& hpwl,
-               Grader& grader) {
-  int accepted = 0;
-  for (int row = 0; row < rows.num_rows(); ++row) {
-    InstId a = rows.row_first(row);
-    while (a != kInvalidId) {
-      const InstId b = rows.next(a);
-      if (b == kInvalidId) break;
-      const Instance& ia = design.netlist.instance(a);
-      const Instance& ib = design.netlist.instance(b);
-      const Dbu wa = design.master_of(a).width;
-      const Dbu wb = design.master_of(b).width;
-      const Dbu ax = ia.pos.x, ay = ia.pos.y;
-      const Dbu bx = ib.pos.x, by = ib.pos.y;
-      const Dbu before = hpwl.total();
-      hpwl.apply_move(b, {ax, by});
-      hpwl.apply_move(a, {bx + wb - wa, ay});
-      if (hpwl.total() < before) {
-        rows.swap_adjacent(a, b);
-        ++accepted;
-        grader.on_accept();
-      } else {
-        hpwl.revert();
-        hpwl.revert();
-        a = b;
-      }
-    }
-  }
-  return accepted;
-}
-
 /// Median of the midpoints of the incident nets' other-pin x spans: the
 /// x the cell's pins would like to sit at, used as the third shift
 /// candidate next to the two gap ends.
-Dbu preferred_x(const Design& design, InstId i) {
-  const Netlist& nl = design.netlist;
-  const auto& uses = nl.inst_uses()[static_cast<std::size_t>(i)];
+Dbu preferred_x(const db::PinTable& pins, InstId i, Dbu cur) {
   std::array<Dbu, 64> mids;  // degree-bounded scratch; extra nets ignored
   std::size_t n = 0;
-  for (const InstUse& u : uses) {
-    const Net& net = nl.net(u.net);
-    if (net.is_clock) continue;
+  for (const InstUse& u : pins.uses(i)) {
+    if (pins.is_clock(u.net)) continue;
     BBox bb;
-    for (const PinRef& ref : net.pins) {
-      if (ref.inst == i) continue;
-      bb.add(nl.pin_position(ref, *design.library));
+    for (const db::PinTable::Pin& pin : pins.pins(u.net)) {
+      if (pin.inst == i) continue;
+      bb.add(pins.position(pin));
     }
     if (!bb.valid() || n == mids.size()) continue;
     mids[n++] = (bb.xmin + bb.xmax) / 2;
   }
-  if (n == 0) return design.netlist.instance(i).pos.x;
+  if (n == 0) return cur;
   // Median by selection: n is tiny (cell degree), an insertion pass is fine
   // and keeps std::sort out of this module (row-rescan rule).
   for (std::size_t k = 1; k < n; ++k) {
@@ -96,17 +46,17 @@ Dbu preferred_x(const Design& design, InstId i) {
 /// strictly best total wins (earlier candidate on ties). Order within the
 /// row is unchanged — x stays in (pred end, next start) — so the RowList
 /// needs no relinking.
-int shift_sweep(Design& design, RowList& rows, db::IncrementalHpwl& hpwl,
-                Grader& grader) {
+int shift_sweep(Design& design, const db::PinTable& pins, RowList& rows,
+                detail::SwapMetric& metric,
+                const std::function<void()>& on_accept) {
   const Floorplan& fp = design.floorplan;
   const Dbu site = fp.site_width();
   int accepted = 0;
   for (int row = 0; row < rows.num_rows(); ++row) {
     const Row& r = fp.row(row);
     for (InstId i = rows.row_first(row); i != kInvalidId; i = rows.next(i)) {
-      const Instance& inst = design.netlist.instance(i);
+      Instance& inst = design.netlist.instance(i);
       const Dbu w = design.master_of(i).width;
-      const Dbu y = inst.pos.y;
       const Dbu cur = inst.pos.x;
       const InstId p = rows.pred(i);
       const InstId q = rows.next(i);
@@ -118,27 +68,29 @@ int shift_sweep(Design& design, RowList& rows, db::IncrementalHpwl& hpwl,
                          ? design.netlist.instance(q).pos.x - w
                          : snap_down(r.x1 - w - r.x0, site) + r.x0;
       if (hi <= lo) continue;  // no slack in this gap
-      Dbu want = preferred_x(design, i) - w / 2;
+      Dbu want = preferred_x(pins, i, cur) - w / 2;
       want = snap_near(want - r.x0, site) + r.x0;
       if (want < lo) want = lo;
       if (want > hi) want = hi;
       const std::array<Dbu, 3> cand = {want, lo, hi};
-      const Dbu before = hpwl.total();
-      Dbu best_total = before;
+      const Dbu before = metric.before(i);
+      Dbu best = before;
       Dbu best_x = cur;
       for (const Dbu x : cand) {
         if (x == cur) continue;
-        const Dbu t = hpwl.apply_move(i, {x, y});
-        hpwl.revert();
-        if (t < best_total) {
-          best_total = t;
+        inst.pos.x = x;
+        const Dbu t = metric.after();
+        if (t < best) {
+          best = t;
           best_x = x;
         }
       }
-      if (best_total < before) {
-        hpwl.apply_move(i, {best_x, y});
+      inst.pos.x = best_x;
+      if (best < before) {
+        metric.after();  // the cache takes the HPWLs at best_x
+        metric.accept();
         ++accepted;
-        grader.on_accept();
+        on_accept();
       }
     }
   }
@@ -150,27 +102,31 @@ int shift_sweep(Design& design, RowList& rows, db::IncrementalHpwl& hpwl,
 ImproveStats improve_placement(Design& design, const ImproveOptions& opts) {
   MTH_SPAN("legal/improve");
   RowList rows(design);
-  db::IncrementalHpwl hpwl(design);
-  Grader grader{&opts, &design, 0};
+  const db::PinTable pins(design);
+  detail::SwapMetric metric(pins, detail::SwapMetric::Count::PerNet);
+  int moves = 0;
+  const std::function<void()> on_accept = [&opts, &design, &moves] {
+    ++moves;
+    if (opts.oracle && opts.oracle_every > 0 && moves % opts.oracle_every == 0) {
+      MTH_ASSERT(opts.oracle(design),
+                 "improve: oracle rejected the placement after move " +
+                     std::to_string(moves));
+    }
+  };
+  std::int64_t candidates = 0;  // the polish's counter; not reported here
 
   ImproveStats stats;
-  stats.hpwl_before = hpwl.total();
+  stats.hpwl_before = metric.total();
   for (int pass = 0; pass < opts.max_passes; ++pass) {
-    int accepted = 0;
-    if (opts.enable_swap) {
-      const int s = swap_sweep(design, rows, hpwl, grader);
-      stats.accepted_swaps += s;
-      accepted += s;
-    }
-    if (opts.enable_shift) {
-      const int s = shift_sweep(design, rows, hpwl, grader);
-      stats.accepted_shifts += s;
-      accepted += s;
-    }
+    const int swaps =
+        detail::swap_sweep(design, rows, metric, candidates, on_accept);
+    const int shifts = shift_sweep(design, pins, rows, metric, on_accept);
+    stats.accepted_swaps += swaps;
+    stats.accepted_shifts += shifts;
     ++stats.passes;
-    if (accepted == 0) break;
+    if (swaps + shifts == 0) break;
   }
-  stats.hpwl_after = hpwl.total();
+  stats.hpwl_after = metric.total();
   MTH_COUNT("legal/improve_moves",
             stats.accepted_swaps + stats.accepted_shifts);
   MTH_ASSERT(stats.hpwl_after <= stats.hpwl_before,

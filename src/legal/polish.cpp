@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "mth/legal/rowlist.hpp"
 #include "mth/trace/trace.hpp"
 #include "swap_metric.hpp"
 
@@ -11,8 +10,9 @@ namespace mth::legal {
 
 namespace detail {
 
-SwapMetric::SwapMetric(const db::PinTable& pins)
+SwapMetric::SwapMetric(const db::PinTable& pins, Count count)
     : pins_(pins),
+      per_use_(count == Count::PerUse),
       hp_(static_cast<std::size_t>(pins_.num_nets())),
       mark_(hp_.size(), 0),
       slot_(hp_.size(), 0) {
@@ -35,13 +35,13 @@ Dbu SwapMetric::before(InstId a, InstId b) {
         mark_[n] = stamp_;
         slot_[n] = static_cast<std::uint32_t>(touched_.size());
         touched_.push_back({u.net, 1, from_a, 0});
-      } else if (touched_[slot_[n]].from_a == from_a) {
+      } else if (per_use_ && touched_[slot_[n]].from_a == from_a) {
         ++touched_[slot_[n]].uses;
-      }  // else a net of a met again on b: a's multiplicity stands
+      }  // else counted once, or a net of a met again on b: a's count stands
     }
   };
   collect(a, true);
-  collect(b, false);
+  if (b != kInvalidId) collect(b, false);
   Dbu sum = 0;
   for (const Touched& t : touched_) {
     sum += t.uses * hp_[static_cast<std::size_t>(t.net)];
@@ -68,17 +68,9 @@ Dbu SwapMetric::total() const {
   return sum;
 }
 
-}  // namespace detail
-
-namespace {
-
-/// One sweep of adjacent same-row swaps over the linked row structure,
-/// accepted when they reduce the swap metric (swap_metric.hpp). Cursor rule
-/// (same as the historical vector scan): an accepted swap keeps the cursor on
-/// the left cell, which just moved right; a rejected one advances past it.
-/// Adds the number of candidate swaps evaluated to `candidates`.
-int sweep(Design& design, RowList& rows, detail::SwapMetric& metric,
-          std::int64_t& candidates) {
+int swap_sweep(Design& design, RowList& rows, SwapMetric& metric,
+               std::int64_t& candidates,
+               const std::function<void()>& on_accept) {
   int accepted = 0;
   for (int row = 0; row < rows.num_rows(); ++row) {
     InstId a = rows.row_first(row);
@@ -90,8 +82,6 @@ int sweep(Design& design, RowList& rows, detail::SwapMetric& metric,
       const Dbu wa = design.master_of(a).width;
       const Dbu wb = design.master_of(b).width;
       const Dbu ax = ia.pos.x, bx = ib.pos.x;
-      // Swap keeps the envelope [a.x, b.x + w_b) intact: b lands at a.x,
-      // a at b.x + w_b - w_a, preserving legality for any width mix.
       ++candidates;
       const Dbu before = metric.before(a, b);
       ib.pos.x = ax;
@@ -100,6 +90,7 @@ int sweep(Design& design, RowList& rows, detail::SwapMetric& metric,
         metric.accept();
         rows.swap_adjacent(a, b);
         ++accepted;
+        if (on_accept) on_accept();
       } else {
         ia.pos.x = ax;
         ib.pos.x = bx;
@@ -110,7 +101,7 @@ int sweep(Design& design, RowList& rows, detail::SwapMetric& metric,
   return accepted;
 }
 
-}  // namespace
+}  // namespace detail
 
 PolishResult swap_polish(Design& design, const db::PinTable& pins,
                          RowList& rows) {
@@ -118,17 +109,11 @@ PolishResult swap_polish(Design& design, const db::PinTable& pins,
   detail::SwapMetric metric(pins);
   std::int64_t candidates = 0;
   PolishResult res;
-  res.accepted = sweep(design, rows, metric, candidates);
+  res.accepted = detail::swap_sweep(design, rows, metric, candidates);
   res.hpwl = metric.total();
   MTH_COUNT("legal/polish_candidates", candidates);
   MTH_COUNT("legal/polish_accepted", res.accepted);
   return res;
-}
-
-int swap_polish(Design& design) {
-  const db::PinTable pins(design);
-  RowList rows(design);
-  return swap_polish(design, pins, rows).accepted;
 }
 
 int swap_polish_converge(Design& design, int max_sweeps) {
@@ -138,7 +123,7 @@ int swap_polish_converge(Design& design, int max_sweeps) {
   std::int64_t candidates = 0;
   int total = 0;
   for (int s = 0; s < max_sweeps; ++s) {
-    const int accepted = sweep(design, rows, metric, candidates);
+    const int accepted = detail::swap_sweep(design, rows, metric, candidates);
     total += accepted;
     if (accepted == 0) break;
   }

@@ -103,50 +103,6 @@ void RowList::swap_adjacent(InstId left, InstId right) {
   }
 }
 
-void RowList::remove(InstId i) {
-  const std::int32_t row = row_of_[static_cast<std::size_t>(i)];
-  MTH_ASSERT(row >= 0, "rowlist: remove of an unlinked instance");
-  const InstId p = pred_[static_cast<std::size_t>(i)];
-  const InstId q = next_[static_cast<std::size_t>(i)];
-  if (p != kInvalidId) {
-    next_[static_cast<std::size_t>(p)] = q;
-  } else {
-    row_first_[static_cast<std::size_t>(row)] = q;
-  }
-  if (q != kInvalidId) {
-    pred_[static_cast<std::size_t>(q)] = p;
-  } else {
-    row_last_[static_cast<std::size_t>(row)] = p;
-  }
-  pred_[static_cast<std::size_t>(i)] = kInvalidId;
-  next_[static_cast<std::size_t>(i)] = kInvalidId;
-  row_of_[static_cast<std::size_t>(i)] = -1;
-}
-
-void RowList::insert_after(InstId i, int row, InstId after) {
-  MTH_ASSERT(row_of_[static_cast<std::size_t>(i)] < 0,
-             "rowlist: insert of a linked instance");
-  const std::size_t r = static_cast<std::size_t>(row);
-  InstId q;
-  if (after == kInvalidId) {
-    q = row_first_[r];
-    row_first_[r] = i;
-  } else {
-    MTH_ASSERT(row_of_[static_cast<std::size_t>(after)] == row,
-               "rowlist: insert_after anchor is in another row");
-    q = next_[static_cast<std::size_t>(after)];
-    next_[static_cast<std::size_t>(after)] = i;
-  }
-  pred_[static_cast<std::size_t>(i)] = after;
-  next_[static_cast<std::size_t>(i)] = q;
-  if (q != kInvalidId) {
-    pred_[static_cast<std::size_t>(q)] = i;
-  } else {
-    row_last_[r] = i;
-  }
-  row_of_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(row);
-}
-
 bool RowList::check(const Design& design, std::string* why) const {
   const Netlist& nl = design.netlist;
   auto fail = [&](const std::string& msg) {

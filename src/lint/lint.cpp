@@ -322,7 +322,7 @@ std::vector<char> loop_mask(const std::vector<Token>& T) {
 
 void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
   // total_hpwl() is a full-netlist rescan; inside a rap/legal loop it is the
-  // exact regression the incremental engine removed.
+  // exact regression the legal module's per-net HPWL cache removed.
   if (module != "rap" && module != "legal") return;
   const auto& T = ctx.scan.tokens;
   const std::vector<char> in_loop = loop_mask(T);
@@ -331,9 +331,9 @@ void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
         is_punct(T[i + 1], "(")) {
       ctx.report(Rule::IhpwlFullScan, T[i].line,
                  "total_hpwl() full-netlist rescan inside a '" + module +
-                     "' loop; cost moves through db::IncrementalHpwl "
-                     "(apply_move/sync_with), or justify with mth-lint: "
-                     "allow(ihpwl-full-scan)");
+                     "' loop; cost moves through the per-net HPWL cache "
+                     "(legal::detail::SwapMetric before/after/total), or "
+                     "justify with mth-lint: allow(ihpwl-full-scan)");
     }
   }
 }
@@ -342,10 +342,10 @@ void rule_pin_position_loop(Ctx& ctx) {
   // The legalizer's hot loops read pins through db::PinTable: one load of
   // the instance position per pin, where Netlist::pin_position makes three
   // bounds-checked lookups. Scoped to the files whose loops the table
-  // serves (legal/polish, rap/rclegal, db/incremental_hpwl).
+  // serves (legal/polish, legal/improve, rap/rclegal).
   const bool hot = ctx.file.find("legal/polish") != std::string::npos ||
-                   ctx.file.find("rap/rclegal") != std::string::npos ||
-                   ctx.file.find("db/incremental_hpwl") != std::string::npos;
+                   ctx.file.find("legal/improve") != std::string::npos ||
+                   ctx.file.find("rap/rclegal") != std::string::npos;
   if (!hot) return;
   const auto& T = ctx.scan.tokens;
   const std::vector<char> in_loop = loop_mask(T);
@@ -437,13 +437,14 @@ const char* rule_description(Rule r) {
              "lane-merge intrinsic (shuffle-order reassociation).";
     case Rule::IhpwlFullScan:
       return "total_hpwl() full-netlist rescan inside a rap/legal loop; "
-             "per-move costing goes through db::IncrementalHpwl.";
+             "per-move costing goes through the legal module's per-net HPWL "
+             "cache (legal::detail::SwapMetric).";
     case Rule::RowRescan:
       return "row_at_y / sort inside the detailed-placement sweeps; "
              "neighbor queries go through legal::RowList.";
     case Rule::PinPositionLoop:
       return "Netlist::pin_position() inside a loop in legal/polish, "
-             "rap/rclegal or db/incremental_hpwl; pins are read through "
+             "legal/improve or rap/rclegal; pins are read through "
              "db::PinTable.";
     case Rule::ParCaptureRace:
       return "Parallel worker lambda writes through a by-reference capture "

@@ -3,14 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "mth/db/design.hpp"
-#include "mth/db/incremental_hpwl.hpp"
 #include "mth/db/metrics.hpp"
 #include "mth/db/rowassign.hpp"
 #include "mth/liberty/asap7.hpp"
-#include "mth/util/rng.hpp"
 
 namespace mth {
 namespace {
@@ -248,129 +244,6 @@ TEST(RowAssignment, Basics) {
   EXPECT_TRUE(ra.is_minority_row(4));   // row 4 -> pair 2
   EXPECT_TRUE(ra.is_minority_row(5));
   EXPECT_FALSE(ra.is_minority_row(3));
-}
-
-// --- IncrementalHpwl ------------------------------------------------------
-
-/// Randomized multi-pin netlist: `n_inst` cells at random positions, `n_nets`
-/// nets of degree 2-5 with distinct instances (driver first), the last net
-/// marked as an ideal clock (excluded from HPWL). Dense enough that random
-/// moves regularly land cells on net-bbox boundaries, exercising the
-/// engine's exact-recompute slow path alongside the extend fast path.
-Design make_random_design(int n_inst, int n_nets, std::uint64_t seed) {
-  Design d;
-  d.name = "random";
-  d.library = liberty::library_ref();
-  const Tech& tech = d.library->tech();
-  const int inv = find_asap7_master(*d.library, CellFunc::Inv, 1,
-                                    TrackHeight::H6T, Vt::RVT);
-  Rng rng(seed);
-  for (int i = 0; i < n_inst; ++i) {
-    d.netlist.add_instance("c" + std::to_string(i), inv,
-                           {rng.uniform_int(0, 40000) * 2,
-                            rng.uniform_int(0, 20000) * 2});
-  }
-  const int out_pin = d.library->master(inv).output_pin();
-  for (int n = 0; n < n_nets; ++n) {
-    const NetId net = d.netlist.add_net("n" + std::to_string(n));
-    const int degree = static_cast<int>(rng.uniform_int(2, 5));
-    std::vector<InstId> picked;
-    while (static_cast<int>(picked.size()) < degree) {
-      const InstId i =
-          static_cast<InstId>(rng.uniform_int(0, n_inst - 1));
-      if (std::find(picked.begin(), picked.end(), i) == picked.end()) {
-        picked.push_back(i);
-      }
-    }
-    for (std::size_t j = 0; j < picked.size(); ++j) {
-      d.netlist.connect(net, {picked[j], j == 0 ? out_pin : 0});
-    }
-    if (n == n_nets - 1) d.netlist.net(net).is_clock = true;
-  }
-  d.floorplan = Floorplan::make_uniform(Rect{{0, 0}, {90000, 43200}}, 100,
-                                        tech.row_height_6t, TrackHeight::H6T,
-                                        tech.site_width);
-  return d;
-}
-
-TEST(IncrementalHpwl, MatchesFreshScanOnTinyDesign) {
-  Design d = make_tiny_design();
-  db::IncrementalHpwl eng(d);
-  EXPECT_EQ(eng.total(), total_hpwl(d, 1));
-  const Dbu t = eng.apply_move(0, {1080, 432});
-  EXPECT_EQ(t, total_hpwl(d, 1));
-  EXPECT_EQ(d.netlist.instance(0).pos, (Point{1080, 432}));
-  eng.revert();
-  EXPECT_EQ(d.netlist.instance(0).pos, (Point{0, 0}));
-  EXPECT_EQ(eng.total(), total_hpwl(d, 1));
-}
-
-TEST(IncrementalHpwl, RandomMoveSequencesStayExact) {
-  // The satellite property test: N random apply_move sequences — including
-  // boundary-pin shrinks (moves pull extreme pins inward) and the clock-net
-  // exclusion — never drift from a fresh total_hpwl() scan, bit-for-bit.
-  Design d = make_random_design(60, 40, 99);
-  db::IncrementalHpwl eng(d);
-  Rng rng(7);
-  for (int m = 0; m < 400; ++m) {
-    const InstId i = static_cast<InstId>(rng.uniform_int(0, 59));
-    const Point p{rng.uniform_int(0, 40000) * 2,
-                  rng.uniform_int(0, 20000) * 2};
-    const Dbu t = eng.apply_move(i, p);  // sequenced before the fresh scan
-    ASSERT_EQ(t, total_hpwl(d, 1)) << "move " << m;
-  }
-  EXPECT_EQ(eng.moves(), 400);
-  // A dense random workload must have hit both paths, or the test proves
-  // less than it claims.
-  EXPECT_GT(eng.recomputes(), 0);
-  EXPECT_LT(eng.recomputes(), eng.moves() * 5);
-}
-
-TEST(IncrementalHpwl, RevertRestoresExactState) {
-  Design d = make_random_design(40, 25, 5);
-  const std::vector<Point> start = placement_snapshot(d);
-  db::IncrementalHpwl eng(d);
-  const Dbu t0 = eng.total();
-  Rng rng(13);
-  for (int round = 0; round < 20; ++round) {
-    const int burst = static_cast<int>(rng.uniform_int(1, 8));
-    for (int m = 0; m < burst; ++m) {
-      eng.apply_move(static_cast<InstId>(rng.uniform_int(0, 39)),
-                     {rng.uniform_int(0, 40000) * 2,
-                      rng.uniform_int(0, 20000) * 2});
-    }
-    for (int m = 0; m < burst; ++m) eng.revert();
-    ASSERT_EQ(eng.total(), t0) << "round " << round;
-    ASSERT_EQ(placement_snapshot(d), start) << "round " << round;
-  }
-}
-
-TEST(IncrementalHpwl, SyncWithAfterExternalMutation) {
-  Design d = make_random_design(40, 25, 21);
-  db::IncrementalHpwl eng(d);
-  Rng rng(3);
-  for (InstId i = 0; i < 40; ++i) {  // external bulk move, engine unaware
-    d.netlist.instance(i).pos = {rng.uniform_int(0, 40000) * 2,
-                                 rng.uniform_int(0, 20000) * 2};
-  }
-  EXPECT_EQ(eng.sync_with(), total_hpwl(d, 1));
-  const Dbu t = eng.apply_move(7, {4000, 2000});  // engine usable after sync
-  EXPECT_EQ(t, total_hpwl(d, 1));
-}
-
-TEST(IncrementalHpwl, ClockNetNeverContributes) {
-  Design d = make_random_design(10, 5, 2);
-  db::IncrementalHpwl eng(d);
-  // Stretch only the clock net's cells: total must track the fresh scan
-  // (which excludes the clock) rather than grow by the clock span.
-  const Net& clk = d.netlist.net(4);
-  ASSERT_TRUE(clk.is_clock);
-  for (const PinRef& ref : clk.pins) {
-    if (ref.is_port()) continue;
-    const Dbu t = eng.apply_move(
-        ref.inst, {ref.inst * 1000, d.netlist.instance(ref.inst).pos.y});
-    EXPECT_EQ(t, total_hpwl(d, 1));
-  }
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ std::string improve_def(const ExternalCase& ext) {
     co.require_track_match = true;
     return verify::check_placement(g, co).ok();
   };
-  opt.oracle_every = 1;  // grade after every pass, not just at the end
+  opt.oracle_every = 1;  // grade after every accepted move, not just at the end
   const legal::ImproveStats stats = legal::improve_placement(d, opt);
   EXPECT_EQ(stats.hpwl_before, before);
   EXPECT_LE(stats.hpwl_after, stats.hpwl_before)

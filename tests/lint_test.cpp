@@ -388,7 +388,7 @@ TEST(IhpwlFullScan, RescanInsideRapLoopPositiveHit) {
   )cpp");
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, Rule::IhpwlFullScan);
-  EXPECT_NE(f[0].message.find("IncrementalHpwl"), std::string::npos);
+  EXPECT_NE(f[0].message.find("SwapMetric"), std::string::npos);
 }
 
 TEST(IhpwlFullScan, WhileAndDoLoopsAreCovered) {
@@ -435,7 +435,7 @@ TEST(PinPositionLoop, LookupInsideLegalizerLoopsPositiveHit) {
   EXPECT_TRUE(has_rule(run("src/rap/rclegal.cpp",
       "void f() { while (x) { Point p = nl.pin_position(r, lib); } }\n"),
       Rule::PinPositionLoop));
-  EXPECT_TRUE(has_rule(run("src/db/incremental_hpwl.cpp",
+  EXPECT_TRUE(has_rule(run("src/legal/improve.cpp",
       "void f() { do p = nl.pin_position(r, lib); while (x); }\n"),
       Rule::PinPositionLoop));
 }
@@ -448,7 +448,7 @@ TEST(PinPositionLoop, OutsideLoopOrOtherFilesIsClean) {
   // ...and files the pin table does not serve keep pin_position.
   EXPECT_TRUE(run("src/route/router.cpp",
       "for (;;) { pins.push_back(nl.pin_position(ref, lib)); }\n").empty());
-  EXPECT_TRUE(run("src/legal/improve.cpp",
+  EXPECT_TRUE(run("src/db/metrics.cpp",
       "for (;;) { bb.add(nl.pin_position(ref, lib)); }\n").empty());
   // The table's own accessor has a different name.
   EXPECT_TRUE(run("src/legal/polish.cpp",
@@ -456,7 +456,7 @@ TEST(PinPositionLoop, OutsideLoopOrOtherFilesIsClean) {
 }
 
 TEST(PinPositionLoop, SuppressedHit) {
-  const auto f = run("src/db/incremental_hpwl.cpp",
+  const auto f = run("src/legal/improve.cpp",
       "for (;;) {\n"
       "  Point p = nl.pin_position(r, lib);  // mth-lint: allow(pin-position-loop): fixture\n"
       "}\n");

@@ -43,7 +43,8 @@ void usage(std::ostream& os) {
         "  --def <path>        external design (defio format) resolved\n"
         "                      against the --lef library\n"
         "  --improve           run the linked-list detailed-placement\n"
-        "                      improver on the flow's output (oracle-graded)\n"
+        "                      improver on the flow's output (oracle-graded;\n"
+        "                      not with --route)\n"
         "  --list              list available testcases and exit\n"
         "  --flow <1..5>       Table III flow (default 5)\n"
         "  --scale <f>         cell-count scale (default 0.1)\n"
@@ -180,6 +181,14 @@ int main(int argc, char** argv) {
     std::cerr << "--height-swap re-synthesizes and cannot apply to --lef/--def\n";
     return 2;
   }
+  if (improve && route) {
+    // Routing runs inside the flow, before the improver, so the routed
+    // metrics would describe a placement other than the one written out.
+    std::cerr << "--improve cannot be combined with --route: routing runs "
+                 "before the improver\n";
+    usage(std::cerr);
+    return 2;
+  }
 
   try {
     // Tracing: one collector across prepare + flow; run_flow/prepare_case
@@ -251,8 +260,10 @@ int main(int argc, char** argv) {
       final_design = std::move(*out.design);
     }
 
-    // Linked-list detailed-placement improver on the flow's output, graded
-    // by the independent oracle after every accepted move.
+    // Linked-list detailed-placement improver on the flow's output (mLEF
+    // space: --route is rejected above), graded by the independent oracle
+    // on the final placement. The reported displacement and HPWL are the
+    // improved placement's.
     legal::ImproveStats imp;
     if (improve) {
       trace::SinkScope sink_scope(opt.ctx.sink);
@@ -262,6 +273,7 @@ int main(int argc, char** argv) {
       };
       imp = legal::improve_placement(final_design, iopt);
       res.hpwl = total_hpwl(final_design);
+      res.displacement = total_displacement(final_design, pc.initial_positions);
     }
 
     report::Table t({"metric", "value"});

@@ -313,7 +313,7 @@ void run_iteration(const Scenario& sc, double sparse_gap_window,
                   " above input " + std::to_string(before));
         }
         if (st.hpwl_after != total_hpwl(di)) {
-          finding("improve: incremental HPWL drifted from recomputation");
+          finding("improve: cached HPWL drifted from recomputation");
         }
         const auto repi = verify::check_placement(di, ck);
         if (!repi.ok()) finding("improve output: " + repi.summary());

@@ -9,9 +9,9 @@
 # guarantee internally.
 #
 # Also runs the P4 kernel before/after harness (bench_micro_kernels): the
-# f_cr cost-matrix and ΔHPWL kernels must beat their pre-SIMD reference
-# implementations (speedup gate scale-dependent, see the bench header) with
-# bit-identical outputs.
+# f_cr cost-matrix kernel must beat its pre-SIMD reference implementation
+# (speedup gate scale-dependent, see the bench header) with bit-identical
+# outputs.
 #
 # Also runs the P5 sharded-RAP harness (bench_scaling) on one testcase at a
 # scale where banding engages: every case must run with more than one band,
