@@ -11,11 +11,13 @@
 // relaxation is dropped when its distance plus a lower bound to the target
 // (the cheapest current edge of every column and row gap still to cross)
 // exceeds an upper bound (the cheapest of the edge's previous route and its
-// two L paths). It pops in Dijkstra's (distance, node id) order, so its
-// routes equal plain Dijkstra's bit for bit. That needs finite, non-negative
-// edge costs, which route_design guarantees by rejecting (mth::Error)
-// layers_per_dir <= 0, a wire_pitch that is not positive and finite, and a
-// history_increment that is negative or not finite.
+// two L paths, each summed in place). It pops in Dijkstra's (distance, node
+// id) order from a binary heap of packed keys, so its routes equal plain
+// Dijkstra's bit for bit. That needs finite, non-negative edge costs, which
+// route_design guarantees by rejecting (mth::Error) layers_per_dir <= 0, a
+// wire_pitch that is not positive and finite, and a history_increment that
+// is negative or not finite. It also rejects a negative gcell_size and a
+// negative ripup_passes, which no setting means.
 //
 // Absolute wirelength will differ from a commercial detailed router, but the
 // placement-quality ordering between flows — what Table V compares — is
@@ -29,12 +31,15 @@
 namespace mth::route {
 
 struct RouterOptions {
-  /// Gcell edge length in DBU; 0 = auto (about 6 row heights).
+  /// Gcell edge length in DBU; 0 = auto (about 6 row heights). Negative
+  /// throws mth::Error.
   Dbu gcell_size = 0;
   /// Routing tracks per gcell boundary per direction (capacity model:
   /// 3 layers x gcell_size / pitch).
   double wire_pitch = 80.0;
   int layers_per_dir = 3;
+  /// Rip-up-and-reroute passes; 0 keeps the L-path routes. Negative throws
+  /// mth::Error.
   int ripup_passes = 3;
   double history_increment = 0.6;
   /// Nets with more pins than this skip maze reroute (clock-tree scale).

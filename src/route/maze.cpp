@@ -1,7 +1,7 @@
 #include "maze.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 #include <limits>
 
 namespace mth::route::detail {
@@ -51,8 +51,43 @@ void sum_outward(std::vector<double>& lb, int to, GapMin gap_min) {
 
 }  // namespace
 
+void MazeSearch::push(Key key) {
+  heap_.push_back(key);
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(key < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+MazeSearch::Key MazeSearch::pop() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  // Sift `last` down from the root along the smaller child.
+  std::size_t i = 0;
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && heap_[c + 1] < heap_[c]) ++c;
+    if (!(heap_[c] < last)) break;
+    heap_[i] = heap_[c];
+    i = c;
+  }
+  heap_[i] = last;
+  return top;
+}
+
 bool MazeSearch::route(const EdgeCosts& g, GridPt a, GridPt b, double ub,
                        std::vector<Seg>& out) {
+  if (a == b) {  // the source pops first and is the target
+    ++pops_;
+    out.clear();
+    return true;
+  }
   const int nx = g.nx(), ny = g.ny();
   const std::size_t w = static_cast<std::size_t>(nx - 1);
   const std::size_t nn = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
@@ -77,18 +112,19 @@ bool MazeSearch::route(const EdgeCosts& g, GridPt a, GridPt b, double ub,
     return static_cast<std::uint32_t>(y) * static_cast<std::uint32_t>(nx) +
            static_cast<std::uint32_t>(x);
   };
-  using QE = std::pair<double, std::uint32_t>;
-  const std::greater<QE> later;
+  auto key_of = [](double dist, std::uint32_t id) {
+    return (Key{std::bit_cast<std::uint64_t>(dist)} << 32) | id;
+  };
   heap_.clear();
   const std::uint32_t source = id_of(a.x, a.y);
   const std::uint32_t target = id_of(b.x, b.y);
   node_[source] = {0.0, -1, gen};
-  heap_.push_back({0.0, source});
+  heap_.push_back(key_of(0.0, source));
   std::int64_t pops = 0;
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const auto [d, u] = heap_.back();
-    heap_.pop_back();
+    const Key top = pop();
+    const double d = std::bit_cast<double>(static_cast<std::uint64_t>(top >> 32));
+    const std::uint32_t u = static_cast<std::uint32_t>(top);
     if (d > node_[u].dist) continue;
     ++pops;
     if (u == target) break;
@@ -102,8 +138,7 @@ bool MazeSearch::route(const EdgeCosts& g, GridPt a, GridPt b, double ub,
       if (nd < cur && !(nd + (lb_x_[static_cast<std::size_t>(vx)] +
                               lb_y_[static_cast<std::size_t>(vy)]) > bound)) {
         n = {nd, static_cast<std::int32_t>(u), gen};
-        heap_.push_back({nd, id});
-        std::push_heap(heap_.begin(), heap_.end(), later);
+        push(key_of(nd, id));
       }
     };
     const std::size_t hrow = static_cast<std::size_t>(uy) * w;
@@ -116,21 +151,26 @@ bool MazeSearch::route(const EdgeCosts& g, GridPt a, GridPt b, double ub,
   }
   pops_ += pops;
   if (node_[target].stamp != gen) return false;
-  out.clear();
+  std::size_t hops = 0;
+  for (std::int32_t p = node_[target].prev; p >= 0;
+       p = node_[static_cast<std::size_t>(p)].prev) {
+    ++hops;
+  }
+  out.resize(hops);
   std::uint32_t cur = target;
-  while (node_[cur].prev >= 0) {
+  for (Seg& seg : out) {
     const std::uint32_t p = static_cast<std::uint32_t>(node_[cur].prev);
     const int cx = static_cast<int>(cur % static_cast<std::uint32_t>(nx));
     const int cy = static_cast<int>(cur / static_cast<std::uint32_t>(nx));
     const int px = static_cast<int>(p % static_cast<std::uint32_t>(nx));
     const int py = static_cast<int>(p / static_cast<std::uint32_t>(nx));
     if (cy == py) {
-      out.push_back({true, static_cast<std::size_t>(cy) * w +
-                               static_cast<std::size_t>(std::min(cx, px))});
+      seg = {true, static_cast<std::size_t>(cy) * w +
+                       static_cast<std::size_t>(std::min(cx, px))};
     } else {
-      out.push_back({false, static_cast<std::size_t>(std::min(cy, py)) *
-                                    static_cast<std::size_t>(nx) +
-                                static_cast<std::size_t>(cx)});
+      seg = {false, static_cast<std::size_t>(std::min(cy, py)) *
+                            static_cast<std::size_t>(nx) +
+                        static_cast<std::size_t>(cx)};
     }
     cur = p;
   }
