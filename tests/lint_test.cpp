@@ -438,6 +438,16 @@ TEST(PinPositionLoop, LookupInsideLegalizerLoopsPositiveHit) {
   EXPECT_TRUE(has_rule(run("src/legal/improve.cpp",
       "void f() { do p = nl.pin_position(r, lib); while (x); }\n"),
       Rule::PinPositionLoop));
+  // The router's MST reads its pins through the table too.
+  const auto r = run("src/route/router.cpp", R"cpp(
+    for (NetId nid = 0; nid < num_nets; ++nid) {
+      for (const PinRef& ref : net.pins) {
+        pins.push_back(design.netlist.pin_position(ref, *design.library));
+      }
+    }
+  )cpp");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, Rule::PinPositionLoop);
 }
 
 TEST(PinPositionLoop, OutsideLoopOrOtherFilesIsClean) {
@@ -446,7 +456,7 @@ TEST(PinPositionLoop, OutsideLoopOrOtherFilesIsClean) {
       "Point first(const Net& n) { return nl.pin_position(n.pins[0], lib); }\n")
       .empty());
   // ...and files the pin table does not serve keep pin_position.
-  EXPECT_TRUE(run("src/route/router.cpp",
+  EXPECT_TRUE(run("src/timing/sta.cpp",
       "for (;;) { pins.push_back(nl.pin_position(ref, lib)); }\n").empty());
   EXPECT_TRUE(run("src/db/metrics.cpp",
       "for (;;) { bb.add(nl.pin_position(ref, lib)); }\n").empty());
@@ -461,6 +471,10 @@ TEST(PinPositionLoop, SuppressedHit) {
       "  Point p = nl.pin_position(r, lib);  // mth-lint: allow(pin-position-loop): fixture\n"
       "}\n");
   EXPECT_TRUE(f.empty());
+  EXPECT_TRUE(run("src/route/router.cpp",
+      "for (;;) {\n"
+      "  Point p = nl.pin_position(r, lib);  // mth-lint: allow(pin-position-loop): fixture\n"
+      "}\n").empty());
 }
 
 // --- row-rescan -------------------------------------------------------------
