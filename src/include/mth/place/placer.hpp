@@ -18,8 +18,8 @@ struct GlobalPlaceOptions {
   double target_overflow = 0.07;  ///< stop when overflow ratio drops below
   double anchor_weight = 0.012;   ///< initial pseudo-net weight
   double anchor_growth = 1.45;    ///< multiplicative growth per iteration
-  int cg_max_iterations = 120;
-  double cg_tolerance = 1e-5;
+  int cg_max_iterations = 120;    ///< per CG solve; 0 runs none
+  double cg_tolerance = 1e-5;     ///< stop when |r| < tol * |r0|
   double bin_rows = 3.0;          ///< bin height in row-pairs
   std::uint64_t seed = 7;
 };
@@ -33,10 +33,13 @@ void build_uniform_floorplan(Design& design, double utilization,
 
 /// Run global placement. On return every instance has a (possibly
 /// overlapping) position with its center inside the core; call the legalizer
-/// to snap to rows/sites. Throws mth::Error when max_iterations < 1, when
-/// anchor_weight or anchor_growth is negative or not finite, or when bin_rows
-/// is not positive and finite. Emits the trace counters place/qp_solves,
-/// place/cg_iterations and place/lal_fallbacks once per call.
+/// to snap to rows/sites. Throws mth::Error when max_iterations < 1 or
+/// cg_max_iterations < 0, when anchor_weight, anchor_growth, cg_tolerance or
+/// target_overflow is negative or not finite, or when bin_rows is not
+/// positive and finite. Emits the trace counters place/qp_solves,
+/// place/cg_iterations and place/lal_fallbacks once per call, and the spans
+/// place/b2b (each axis's system assembly), place/cg (each CG solve) and
+/// place/lookahead (each look-ahead spreading).
 void global_place(Design& design, const GlobalPlaceOptions& options = {});
 
 /// Density overflow ratio of the current placement over a bin grid:

@@ -1,7 +1,7 @@
 #pragma once
 // mth::simd — portable fixed-width vector kernel layer for the flow's
 // per-core hot loops (f_cr cost-matrix build, k-means nearest-centroid
-// search, incremental-HPWL style sweeps).
+// search, the global placer's CG vector passes).
 //
 // Determinism contract (the part that makes SIMD admissible in a codebase
 // whose golden tests pin bit-exact metrics):
@@ -89,6 +89,24 @@ struct Kernels {
   /// index order (argmin_merge) to preserve first-minimum semantics.
   void (*gather_dist2)(const double* cx, const double* cy, const int* idx,
                        std::size_t n, double px, double py, double* d2);
+
+  /// x[i] += alpha * p[i];  r[i] = r[i] - alpha * ap[i];
+  /// z[i] = d[i] > d_floor ? r[i] / d[i] : r[i]
+  /// The update pass of the global placer's Jacobi-preconditioned CG
+  /// (place/gp_kernels). It also writes r.r to *rr and r.z to *rz, each
+  /// summed in index order into one accumulator that starts at +0.0: the
+  /// products are elementwise and the sums are merged lane by lane in
+  /// scalar code, so both equal a plain serial loop's. n == 0 writes +0.0
+  /// to both sums.
+  void (*cg_update)(const double* p, const double* ap, const double* d,
+                    std::size_t n, double alpha, double d_floor, double* x,
+                    double* r, double* z, double* rr, double* rz);
+
+  /// p[i] = z[i] + beta * p[i];  ap[i] = d[i] * p[i]
+  /// The CG direction pass: the new search direction and the diagonal part
+  /// of the next A p, which the caller's edge scatter completes.
+  void (*cg_direction)(const double* z, const double* d, std::size_t n,
+                       double beta, double* p, double* ap);
 };
 
 /// Kernel table for an explicit tier (tests compare tiers in-process).

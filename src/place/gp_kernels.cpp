@@ -4,12 +4,16 @@
 #include <cmath>
 
 #include "mth/util/error.hpp"
+#include "mth/util/simd.hpp"
 
 namespace mth::place::detail {
 
 namespace {
 
-double precond(double v, double d) { return d > 1e-12 ? v / d : v; }
+/// The Jacobi preconditioner leaves rows with a diagonal at or below this.
+constexpr double kDiagFloor = 1e-12;
+
+double precond(double v, double d) { return d > kDiagFloor ? v / d : v; }
 
 }  // namespace
 
@@ -20,9 +24,24 @@ void QpSystem::reset(int n) {
 }
 
 void QpSystem::scatter(const double* x, double* y) const {
-  for (const Edge& e : edges_) {
-    y[e.a] -= e.w * x[e.b];
-    y[e.b] -= e.w * x[e.a];
+  const Edge* e = edges_.data();
+  const std::size_t m = edges_.size();
+  std::size_t k = 0;
+  for (; k + 1 < m; k += 2) {
+    const Edge& e0 = e[k];
+    const Edge& e1 = e[k + 1];
+    const double t0 = e0.w * x[e0.b];
+    const double t1 = e0.w * x[e0.a];
+    const double t2 = e1.w * x[e1.b];
+    const double t3 = e1.w * x[e1.a];
+    y[e0.a] -= t0;
+    y[e0.b] -= t1;
+    y[e1.a] -= t2;
+    y[e1.b] -= t3;
+  }
+  if (k < m) {
+    y[e[k].a] -= e[k].w * x[e[k].b];
+    y[e[k].b] -= e[k].w * x[e[k].a];
   }
 }
 
@@ -40,6 +59,7 @@ int QpSystem::solve(std::vector<double>& xv, int max_iters, double tol) {
   double* ap = ap_.data();
   const double* d = diag_.data();
   const double* b = rhs_.data();
+  const simd::Kernels& kern = simd::kernels();
 
   // r = b - A x, z = r / d, p = z, with r.z, r.r and the diagonal of A p.
   for (std::size_t i = 0; i < n; ++i) r[i] = d[i] * x[i];
@@ -66,45 +86,119 @@ int QpSystem::solve(std::vector<double>& xv, int max_iters, double tol) {
     if (pap <= 1e-18) break;
     const double alpha = rz / pap;
     double rn = 0.0, rz_new = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      const double ri = r[i] - alpha * ap[i];
-      const double zi = precond(ri, d[i]);
-      r[i] = ri;
-      z[i] = zi;
-      rn = rn + ri * ri;
-      rz_new = rz_new + ri * zi;
-    }
+    kern.cg_update(p, ap, d, n, alpha, kDiagFloor, x, r, z, &rn, &rz_new);
     if (std::sqrt(rn) < tol * r0) break;
     const double beta = rz_new / rz;
     rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double pi = z[i] + beta * p[i];
-      p[i] = pi;
-      ap[i] = d[i] * pi;
-    }
+    kern.cg_direction(z, d, n, beta, p, ap);
   }
   return it;
+}
+
+B2bNets::B2bNets(int num_cells) : num_cells_(num_cells), net_begin_{0} {
+  MTH_ASSERT(num_cells >= 0, "place: negative cell count");
+  for (std::vector<double>& c : coord_) c.assign(static_cast<std::size_t>(num_cells), 0.0);
+}
+
+B2bNets::B2bNets(const Design& design) : B2bNets(design.netlist.num_instances()) {
+  const db::PinTable table(design);
+  auto counted = [&table](NetId nid) {
+    return !table.is_clock(nid) && table.pins(nid).size() >= 2;
+  };
+  std::size_t nets = 0, pins = 0, ports = 0;
+  for (NetId nid = 0; nid < table.num_nets(); ++nid) {
+    if (!counted(nid)) continue;
+    ++nets;
+    for (const db::PinTable::Pin& pin : table.pins(nid)) {
+      ++pins;
+      if (pin.inst == kInvalidId) ++ports;
+    }
+  }
+  net_begin_.reserve(nets + 1);
+  scale_.reserve(nets);
+  pins_.reserve(pins);
+  for (std::vector<double>& c : coord_) c.reserve(c.size() + ports);
+  for (NetId nid = 0; nid < table.num_nets(); ++nid) {
+    if (counted(nid)) add_net(table.pins(nid));
+  }
+}
+
+void B2bNets::add_net(std::span<const db::PinTable::Pin> pins) {
+  MTH_ASSERT(pins.size() >= 2, "place: a B2B net needs two pins");
+  for (const db::PinTable::Pin& pin : pins) {
+    if (pin.inst == kInvalidId) {
+      pins_.push_back({-1, static_cast<int>(coord_[0].size())});
+      coord_[0].push_back(static_cast<double>(pin.offset.x));
+      coord_[1].push_back(static_cast<double>(pin.offset.y));
+    } else {
+      MTH_ASSERT(pin.inst >= 0 && pin.inst < num_cells_, "place: B2B pin of no cell");
+      pins_.push_back({pin.inst, pin.inst});
+    }
+  }
+  net_begin_.push_back(static_cast<std::uint32_t>(pins_.size()));
+  scale_.push_back(2.0 / static_cast<double>(pins.size() - 1));
+}
+
+void B2bNets::assemble(QpSystem& sys, const std::vector<double>& centres, bool is_x) {
+  MTH_ASSERT(centres.size() == static_cast<std::size_t>(num_cells_),
+             "place: B2B centres have the wrong size");
+  std::vector<double>& coord = coord_[is_x ? 0 : 1];
+  std::copy(centres.begin(), centres.end(), coord.begin());
+  const double* c = coord.data();
+  for (std::size_t net = 0; net < scale_.size(); ++net) {
+    const Pin* pins = pins_.data() + net_begin_[net];
+    const int k = static_cast<int>(net_begin_[net + 1] - net_begin_[net]);
+    // First minimum and first maximum, selected without branches.
+    int imin = 0, imax = 0;
+    double vmin = c[pins[0].slot], vmax = vmin;
+    for (int i = 1; i < k; ++i) {
+      const double v = c[pins[i].slot];
+      const bool lower = v < vmin;
+      const bool higher = v > vmax;
+      imin = lower ? i : imin;
+      vmin = lower ? v : vmin;
+      imax = higher ? i : imax;
+      vmax = higher ? v : vmax;
+    }
+    const double scale = scale_[net];
+    auto connect = [&sys, scale](const Pin& a, double ax, const Pin& b, double bx) {
+      if (a.cell < 0 && b.cell < 0) return;
+      const double dist = std::max(std::abs(ax - bx), 1.0);  // 1 DBU floor
+      const double w = scale / dist;
+      if (a.cell >= 0 && b.cell >= 0) {
+        sys.add_edge(a.cell, b.cell, w);
+      } else if (a.cell >= 0) {
+        sys.add_fixed(a.cell, w, bx);
+      } else {
+        sys.add_fixed(b.cell, w, ax);
+      }
+    };
+    const Pin& lo = pins[imin];
+    const Pin& hi = pins[imax];
+    for (int i = 0; i < k; ++i) {
+      const double v = c[pins[i].slot];
+      if (i != imin) connect(pins[i], v, lo, vmin);
+      if (i != imax && imin != imax) connect(pins[i], v, hi, vmax);
+    }
+  }
 }
 
 LookAhead::LookAhead(const std::vector<Row>& rows, std::vector<double> widths)
     : width_(std::move(widths)) {
   MTH_ASSERT(!rows.empty(), "place: look-ahead needs rows");
-  for (const Row& row : rows) {
-    row_y_.push_back(row.y);
+  y0_ = rows.front().y;
+  h_ = rows.front().height;
+  MTH_ASSERT(h_ > 0, "place: look-ahead rows need a positive height");
+  top_ = static_cast<Dbu>(rows.size()) - 1;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    MTH_ASSERT(row.height == h_ && row.y == y0_ + static_cast<Dbu>(r) * h_,
+               "place: look-ahead rows must be gap-free and of one height");
     x0_.push_back(static_cast<double>(row.x0));
     x1_.push_back(static_cast<double>(row.x1));
     yc_.push_back(static_cast<double>(row.y_center()));
   }
   max_x1_ = *std::max_element(x1_.begin(), x1_.end());
-}
-
-int LookAhead::row_at(Dbu y) const {
-  // The last row whose bottom edge is at or below y; below the first row,
-  // the first row.
-  if (y < row_y_.front()) return 0;
-  return static_cast<int>(std::upper_bound(row_y_.begin(), row_y_.end(), y) -
-                          row_y_.begin()) - 1;
 }
 
 std::int64_t LookAhead::place(const std::vector<double>& xc,

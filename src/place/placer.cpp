@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "gp_kernels.hpp"
-#include "mth/db/pintable.hpp"
 #include "mth/trace/trace.hpp"
 #include "mth/util/error.hpp"
 #include "mth/util/log.hpp"
@@ -15,42 +14,6 @@
 
 namespace mth::place {
 namespace {
-
-struct PinCoord {
-  int cell = -1;  ///< -1 == fixed (port)
-  double x = 0.0;
-};
-
-/// Add one axis of a net to the system under the B2B model.
-void add_net_b2b(detail::QpSystem& sys, std::vector<PinCoord>& pins) {
-  const int k = static_cast<int>(pins.size());
-  if (k < 2) return;
-  int imin = 0, imax = 0;
-  for (int i = 1; i < k; ++i) {
-    if (pins[static_cast<std::size_t>(i)].x < pins[static_cast<std::size_t>(imin)].x) imin = i;
-    if (pins[static_cast<std::size_t>(i)].x > pins[static_cast<std::size_t>(imax)].x) imax = i;
-  }
-  const double scale = 2.0 / (k - 1);
-  auto connect = [&](int i, int j) {
-    if (i == j) return;
-    const PinCoord& a = pins[static_cast<std::size_t>(i)];
-    const PinCoord& b = pins[static_cast<std::size_t>(j)];
-    if (a.cell < 0 && b.cell < 0) return;
-    const double dist = std::max(std::abs(a.x - b.x), 1.0);  // 1 DBU floor
-    const double w = scale / dist;
-    if (a.cell >= 0 && b.cell >= 0) {
-      sys.add_edge(a.cell, b.cell, w);
-    } else if (a.cell >= 0) {
-      sys.add_fixed(a.cell, w, b.x);
-    } else {
-      sys.add_fixed(b.cell, w, a.x);
-    }
-  };
-  for (int i = 0; i < k; ++i) {
-    if (i != imin) connect(i, imin);
-    if (i != imax && imin != imax) connect(i, imax);
-  }
-}
 
 /// bin_rows sizes the density bins: a non-positive value made every
 /// density_overflow call allocate one-DBU bins, and a NaN one was cast to Dbu.
@@ -150,6 +113,11 @@ void global_place(Design& design, const GlobalPlaceOptions& opt) {
              "place: anchor_weight must be finite and non-negative");
   MTH_ASSERT(std::isfinite(opt.anchor_growth) && opt.anchor_growth >= 0.0,
              "place: anchor_growth must be finite and non-negative");
+  MTH_ASSERT(opt.cg_max_iterations >= 0, "place: cg_max_iterations must be non-negative");
+  MTH_ASSERT(std::isfinite(opt.cg_tolerance) && opt.cg_tolerance >= 0.0,
+             "place: cg_tolerance must be finite and non-negative");
+  MTH_ASSERT(std::isfinite(opt.target_overflow) && opt.target_overflow >= 0.0,
+             "place: target_overflow must be finite and non-negative");
   check_bin_rows(opt.bin_rows);
   design.check();
   MTH_ASSERT(!design.floorplan.rows().empty(), "place: floorplan missing");
@@ -168,16 +136,15 @@ void global_place(Design& design, const GlobalPlaceOptions& opt) {
     yc[static_cast<std::size_t>(i)] = cy0 + jy * rng.normal();
   }
 
-  // Built once per call: the pins of every net, the look-ahead's row and
-  // width arrays, and the storage of the per-axis system.
-  const db::PinTable table(design);
+  // Built once per call: the B2B nets, the look-ahead's row and width
+  // arrays, and the storage of the per-axis system.
+  detail::B2bNets nets(design);
   std::vector<double> widths(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     widths[static_cast<std::size_t>(i)] = static_cast<double>(design.master_of(i).width);
   }
   detail::LookAhead lookahead(design.floorplan.rows(), std::move(widths));
   detail::QpSystem sys;
-  std::vector<PinCoord> pins;
 
   // The last look-ahead targets, which anchor the next QP once there are any.
   std::vector<std::pair<double, double>> lal;
@@ -186,29 +153,23 @@ void global_place(Design& design, const GlobalPlaceOptions& opt) {
 
   auto solve_axis = [&](bool is_x) {
     std::vector<double>& v = is_x ? xc : yc;
-    sys.reset(n);
-    for (NetId nid = 0; nid < table.num_nets(); ++nid) {
-      const auto net = table.pins(nid);
-      if (table.is_clock(nid) || net.size() < 2) continue;
-      pins.clear();
-      for (const db::PinTable::Pin& pin : net) {
-        if (pin.inst == kInvalidId) {  // a port, at `offset`
-          pins.push_back({-1, static_cast<double>(is_x ? pin.offset.x : pin.offset.y)});
-        } else {
-          pins.push_back({pin.inst, v[static_cast<std::size_t>(pin.inst)]});
+    {
+      MTH_SPAN("place/b2b");
+      sys.reset(n);
+      nets.assemble(sys, v, is_x);
+      if (!lal.empty()) {
+        for (int i = 0; i < n; ++i) {
+          sys.add_fixed(i, anchor_w,
+                        is_x ? lal[static_cast<std::size_t>(i)].first
+                             : lal[static_cast<std::size_t>(i)].second);
         }
-      }
-      add_net_b2b(sys, pins);
-    }
-    if (!lal.empty()) {
-      for (int i = 0; i < n; ++i) {
-        sys.add_fixed(i, anchor_w,
-                      is_x ? lal[static_cast<std::size_t>(i)].first
-                           : lal[static_cast<std::size_t>(i)].second);
       }
     }
     ++qp_solves;
-    cg_iterations += sys.solve(v, opt.cg_max_iterations, opt.cg_tolerance);
+    {
+      MTH_SPAN("place/cg");
+      cg_iterations += sys.solve(v, opt.cg_max_iterations, opt.cg_tolerance);
+    }
     // Clamp into the core.
     const double lo = static_cast<double>(is_x ? core.lo.x : core.lo.y);
     const double hi = static_cast<double>(is_x ? core.hi.x : core.hi.y);
@@ -232,7 +193,10 @@ void global_place(Design& design, const GlobalPlaceOptions& opt) {
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     solve_axis(true);
     solve_axis(false);
-    lal_fallbacks += lookahead.place(xc, yc, lal);
+    {
+      MTH_SPAN("place/lookahead");
+      lal_fallbacks += lookahead.place(xc, yc, lal);
+    }
     anchor_w = iter == 0 ? opt.anchor_weight : anchor_w * opt.anchor_growth;
 
     // Overflow check on the QP positions.

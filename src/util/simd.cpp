@@ -57,8 +57,44 @@ void gather_dist2_scalar(const double* cx, const double* cy, const int* idx,
   }
 }
 
-constexpr Kernels kScalarKernels{span_delta_scalar, span_delta_init_scalar,
-                                 cost_combine_scalar, gather_dist2_scalar};
+/// cg_update over [i, n), adding to the running in-order sums; the AVX2 tier
+/// runs its tail through this too.
+void cg_update_from(std::size_t i, const double* p, const double* ap,
+                    const double* d, std::size_t n, double alpha,
+                    double d_floor, double* x, double* r, double* z,
+                    double& rr, double& rz) {
+  for (; i < n; ++i) {
+    x[i] += alpha * p[i];
+    const double ri = r[i] - alpha * ap[i];
+    const double zi = d[i] > d_floor ? ri / d[i] : ri;
+    r[i] = ri;
+    z[i] = zi;
+    rr = rr + ri * ri;
+    rz = rz + ri * zi;
+  }
+}
+
+void cg_update_scalar(const double* p, const double* ap, const double* d,
+                      std::size_t n, double alpha, double d_floor, double* x,
+                      double* r, double* z, double* rr, double* rz) {
+  double sum_rr = 0.0, sum_rz = 0.0;
+  cg_update_from(0, p, ap, d, n, alpha, d_floor, x, r, z, sum_rr, sum_rz);
+  *rr = sum_rr;
+  *rz = sum_rz;
+}
+
+void cg_direction_scalar(const double* z, const double* d, std::size_t n,
+                         double beta, double* p, double* ap) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pi = z[i] + beta * p[i];
+    p[i] = pi;
+    ap[i] = d[i] * pi;
+  }
+}
+
+constexpr Kernels kScalarKernels{span_delta_scalar,  span_delta_init_scalar,
+                                 cost_combine_scalar, gather_dist2_scalar,
+                                 cg_update_scalar,    cg_direction_scalar};
 
 // --- AVX2 tier --------------------------------------------------------------
 //
@@ -146,8 +182,60 @@ __attribute__((target("avx2"))) void gather_dist2_avx2(
   gather_dist2_scalar(cx, cy, idx + j, n - j, px, py, d2 + j);
 }
 
-constexpr Kernels kAvx2Kernels{span_delta_avx2, span_delta_init_avx2,
-                               cost_combine_avx2, gather_dist2_avx2};
+__attribute__((target("avx2"))) void cg_update_avx2(
+    const double* p, const double* ap, const double* d, std::size_t n,
+    double alpha, double d_floor, double* x, double* r, double* z, double* rr,
+    double* rz) {
+  const __m256d va = _mm256_set1_pd(alpha);
+  const __m256d vfloor = _mm256_set1_pd(d_floor);
+  double sum_rr = 0.0, sum_rz = 0.0;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    _mm256_storeu_pd(x + i,
+                     _mm256_add_pd(_mm256_loadu_pd(x + i),
+                                   _mm256_mul_pd(va, _mm256_loadu_pd(p + i))));
+    const __m256d vr = _mm256_sub_pd(
+        _mm256_loadu_pd(r + i), _mm256_mul_pd(va, _mm256_loadu_pd(ap + i)));
+    const __m256d vd = _mm256_loadu_pd(d + i);
+    // Lanes at or below the floor keep r; their quotient is discarded.
+    const __m256d vz = _mm256_blendv_pd(vr, _mm256_div_pd(vr, vd),
+                                        _mm256_cmp_pd(vd, vfloor, _CMP_GT_OQ));
+    _mm256_storeu_pd(r + i, vr);
+    _mm256_storeu_pd(z + i, vz);
+    // Products per lane, sums in index order.
+    alignas(32) double prr[kLanes];
+    alignas(32) double prz[kLanes];
+    _mm256_store_pd(prr, _mm256_mul_pd(vr, vr));
+    _mm256_store_pd(prz, _mm256_mul_pd(vr, vz));
+    for (int j = 0; j < kLanes; ++j) {
+      sum_rr = sum_rr + prr[j];
+      sum_rz = sum_rz + prz[j];
+    }
+  }
+  cg_update_from(i, p, ap, d, n, alpha, d_floor, x, r, z, sum_rr, sum_rz);
+  *rr = sum_rr;
+  *rz = sum_rz;
+}
+
+__attribute__((target("avx2"))) void cg_direction_avx2(const double* z,
+                                                       const double* d,
+                                                       std::size_t n,
+                                                       double beta, double* p,
+                                                       double* ap) {
+  const __m256d vb = _mm256_set1_pd(beta);
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const __m256d vp = _mm256_add_pd(
+        _mm256_loadu_pd(z + i), _mm256_mul_pd(vb, _mm256_loadu_pd(p + i)));
+    _mm256_storeu_pd(p + i, vp);
+    _mm256_storeu_pd(ap + i, _mm256_mul_pd(_mm256_loadu_pd(d + i), vp));
+  }
+  cg_direction_scalar(z + i, d + i, n - i, beta, p + i, ap + i);
+}
+
+constexpr Kernels kAvx2Kernels{span_delta_avx2,  span_delta_init_avx2,
+                               cost_combine_avx2, gather_dist2_avx2,
+                               cg_update_avx2,    cg_direction_avx2};
 
 #endif  // MTH_SIMD_X86
 

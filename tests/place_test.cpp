@@ -1,6 +1,7 @@
 // Global placement tests: floorplan construction, port pinning, density
 // spreading, wirelength sanity vs random placement, placements pinned to
-// recorded hashes, and the placer's kernels against the code they replaced.
+// recorded hashes, and the placer's kernels (B2B assembly, CG solve,
+// look-ahead) against the code they replaced.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "gp_kernels.hpp"
 #include "mth/db/metrics.hpp"
 #include "mth/db/mlef.hpp"
+#include "mth/db/pintable.hpp"
 #include "mth/legal/abacus.hpp"
 #include "mth/liberty/asap7.hpp"
 #include "mth/place/placer.hpp"
@@ -200,12 +202,28 @@ TEST(Placer, RejectsUnusableOptions) {
     growth.anchor_growth = bad;
     EXPECT_THROW(global_place(d, growth), Error) << "anchor_growth " << bad;
   }
+  // -1 ran no CG iteration without a word; a NaN tolerance never converged
+  // and a NaN overflow target never stopped the loop.
+  GlobalPlaceOptions no_cg;
+  no_cg.cg_max_iterations = -1;
+  EXPECT_THROW(global_place(d, no_cg), Error);
+  for (double bad : {-1e-5, nan, inf, -inf}) {
+    GlobalPlaceOptions tol;
+    tol.cg_tolerance = bad;
+    EXPECT_THROW(global_place(d, tol), Error) << "cg_tolerance " << bad;
+    GlobalPlaceOptions target;
+    target.target_overflow = bad;
+    EXPECT_THROW(global_place(d, target), Error) << "target_overflow " << bad;
+  }
   EXPECT_EQ(placement_snapshot(d), before);  // rejected before any move
   GlobalPlaceOptions one;
   one.max_iterations = 1;
   one.anchor_weight = 0.0;  // zero weights and tiny bins stay usable
   one.anchor_growth = 0.0;
   one.bin_rows = 0.25;
+  one.cg_max_iterations = 0;  // so do no CG step and zero stop thresholds
+  one.cg_tolerance = 0.0;
+  one.target_overflow = 0.0;
   global_place(d, one);
   EXPECT_GE(density_overflow(d, 0.25), 0.0);
   const Rect core = d.floorplan.core();
@@ -296,9 +314,10 @@ TEST(Placer, MatchesParentPlacements) {
 
 // ---------------------------------------------------------------------------
 // The global placer's kernels against the code they replaced. `parent` holds
-// verbatim copies of the old QpSystem and tetris_targets; the look-ahead
-// copy only takes its design as a template parameter, so it also runs on
-// rows a Floorplan cannot express.
+// verbatim copies of the old QpSystem, B2B assembly loop (add_net_b2b) and
+// tetris_targets; the assembly copy takes its system and the look-ahead
+// copy its design as a template parameter, so the one fills a QpSystem and
+// the other also runs on rows a Floorplan cannot express.
 
 namespace parent {
 
@@ -377,6 +396,64 @@ struct QpSystem {
     }
   }
 };
+
+struct PinCoord {
+  int cell = -1;  ///< -1 == fixed (port)
+  double x = 0.0;
+};
+
+/// Add one axis of a net to the system under the B2B model.
+template <class Sys>
+void add_net_b2b(Sys& sys, std::vector<PinCoord>& pins) {
+  const int k = static_cast<int>(pins.size());
+  if (k < 2) return;
+  int imin = 0, imax = 0;
+  for (int i = 1; i < k; ++i) {
+    if (pins[static_cast<std::size_t>(i)].x < pins[static_cast<std::size_t>(imin)].x) imin = i;
+    if (pins[static_cast<std::size_t>(i)].x > pins[static_cast<std::size_t>(imax)].x) imax = i;
+  }
+  const double scale = 2.0 / (k - 1);
+  auto connect = [&](int i, int j) {
+    if (i == j) return;
+    const PinCoord& a = pins[static_cast<std::size_t>(i)];
+    const PinCoord& b = pins[static_cast<std::size_t>(j)];
+    if (a.cell < 0 && b.cell < 0) return;
+    const double dist = std::max(std::abs(a.x - b.x), 1.0);  // 1 DBU floor
+    const double w = scale / dist;
+    if (a.cell >= 0 && b.cell >= 0) {
+      sys.add_edge(a.cell, b.cell, w);
+    } else if (a.cell >= 0) {
+      sys.add_fixed(a.cell, w, b.x);
+    } else {
+      sys.add_fixed(b.cell, w, a.x);
+    }
+  };
+  for (int i = 0; i < k; ++i) {
+    if (i != imin) connect(i, imin);
+    if (i != imax && imin != imax) connect(i, imax);
+  }
+}
+
+/// The old per-axis assembly loop of global_place over a list of nets,
+/// each given as its pin-table pins; `skip` marks clock nets.
+template <class Sys>
+void assemble_axis(Sys& sys, const std::vector<std::vector<db::PinTable::Pin>>& table,
+                   const std::vector<char>& skip, const std::vector<double>& v, bool is_x) {
+  std::vector<PinCoord> pins;
+  for (std::size_t nid = 0; nid < table.size(); ++nid) {
+    const auto& net = table[nid];
+    if (skip[nid] != 0 || net.size() < 2) continue;
+    pins.clear();
+    for (const db::PinTable::Pin& pin : net) {
+      if (pin.inst == kInvalidId) {  // a port, at `offset`
+        pins.push_back({-1, static_cast<double>(is_x ? pin.offset.x : pin.offset.y)});
+      } else {
+        pins.push_back({pin.inst, v[static_cast<std::size_t>(pin.inst)]});
+      }
+    }
+    add_net_b2b(sys, pins);
+  }
+}
 
 /// Tetris-style look-ahead legalization on cell centers; returns target
 /// centers. Requires uniform cell heights == row height (mLEF space).
@@ -486,6 +563,203 @@ void build_random_system(Rng& rng, int n, bool tiny, bool signed_weights,
     const double pos = rng.uniform_real(-1e4, 1e4);
     old_sys.add_fixed(a, w, pos);
     new_sys.add_fixed(a, w, pos);
+  }
+}
+
+/// Bitwise equality of two systems' diagonals, right-hand sides and edges.
+::testing::AssertionResult same_system(const detail::QpSystem& got,
+                                       const detail::QpSystem& want) {
+  if (!same_bits(got.diag(), want.diag())) return ::testing::AssertionFailure() << "diag differs";
+  if (!same_bits(got.rhs(), want.rhs())) return ::testing::AssertionFailure() << "rhs differs";
+  if (got.edges().size() != want.edges().size()) {
+    return ::testing::AssertionFailure()
+           << got.edges().size() << " edges, want " << want.edges().size();
+  }
+  for (std::size_t e = 0; e < got.edges().size(); ++e) {
+    const detail::QpSystem::Edge& g = got.edges()[e];
+    const detail::QpSystem::Edge& w = want.edges()[e];
+    if (g.a != w.a || g.b != w.b ||
+        std::bit_cast<std::uint64_t>(g.w) != std::bit_cast<std::uint64_t>(w.w)) {
+      return ::testing::AssertionFailure() << "edge " << e << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Assemble both axes of `table` at the centres (xc, yc) with the flat list
+/// and with the old loop, into two reused systems.
+::testing::AssertionResult same_assembly(detail::B2bNets& nets,
+                                         const std::vector<std::vector<db::PinTable::Pin>>& table,
+                                         const std::vector<char>& skip,
+                                         const std::vector<double>& xc,
+                                         const std::vector<double>& yc,
+                                         detail::QpSystem& got, detail::QpSystem& want) {
+  const int n = static_cast<int>(xc.size());
+  for (const bool is_x : {true, false}) {
+    const std::vector<double>& v = is_x ? xc : yc;
+    want.reset(n);
+    parent::assemble_axis(want, table, skip, v, is_x);
+    got.reset(n);
+    nets.assemble(got, v, is_x);
+    ::testing::AssertionResult same = same_system(got, want);
+    if (!same) return same << (is_x ? " (x)" : " (y)");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(B2bNets, MatchesParentAssemblyBitForBit) {
+  Rng rng(20261019);
+  detail::QpSystem got, want;  // reused, as global_place reuses its system
+  std::int64_t port_min = 0, port_max = 0, port_both = 0, tied_min = 0, tied_max = 0;
+  std::int64_t all_equal = 0, repeated_cell = 0, floored = 0, nets_seen = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int cells = static_cast<int>(rng.uniform_int(1, 24));
+    const int num_nets = static_cast<int>(rng.uniform_int(1, 12));
+    // Coordinates on a 100-DBU grid tie cells with each other and with ports.
+    auto grid = [&rng] { return rng.uniform_int(0, 4) * 100; };
+    std::vector<std::vector<db::PinTable::Pin>> table;
+    for (int t = 0; t < num_nets; ++t) {
+      const int k = static_cast<int>(rng.uniform_int(2, 40));
+      const double port_share = t % 4 == 0 ? 0.0 : (t % 4 == 1 ? 0.15 : 0.6);
+      std::vector<db::PinTable::Pin> net;
+      for (int i = 0; i < k; ++i) {
+        if (rng.uniform01() < port_share) {
+          const bool on_grid = rng.uniform01() < 0.7;
+          net.push_back({kInvalidId, on_grid ? Point{grid(), grid()}
+                                             : Point{rng.uniform_int(-50, 450),
+                                                     rng.uniform_int(-50, 450)}});
+        } else {
+          net.push_back({static_cast<InstId>(rng.uniform_int(0, cells - 1)), Point{}});
+        }
+      }
+      std::vector<char> seen(static_cast<std::size_t>(cells), 0);
+      for (const db::PinTable::Pin& pin : net) {
+        if (pin.inst == kInvalidId) continue;
+        if (seen[static_cast<std::size_t>(pin.inst)]++ != 0) {
+          ++repeated_cell;
+          break;
+        }
+      }
+      table.push_back(std::move(net));
+    }
+    detail::B2bNets nets(cells);
+    for (const auto& net : table) nets.add_net(net);
+    ASSERT_EQ(nets.num_nets(), num_nets);
+    const std::vector<char> no_clock(table.size(), 0);
+    for (int call = 0; call < 4; ++call) {
+      std::vector<double> xc(static_cast<std::size_t>(cells)), yc(xc.size());
+      for (std::size_t i = 0; i < xc.size(); ++i) {
+        switch (call) {
+          case 0:  // on the ports' grid
+            xc[i] = static_cast<double>(grid());
+            yc[i] = static_cast<double>(grid());
+            break;
+          case 1:
+            xc[i] = rng.uniform_real(-100.0, 500.0);
+            yc[i] = rng.uniform_real(-100.0, 500.0);
+            break;
+          case 2:  // every cell at one grid point
+            xc[i] = 200.0;
+            yc[i] = 200.0;
+            break;
+          default:  // within a DBU of each other: the distance floor binds
+            xc[i] = 100.0 + rng.uniform_real(0.0, 0.9);
+            yc[i] = 300.0 + rng.uniform_real(0.0, 0.9);
+        }
+      }
+      ASSERT_TRUE(same_assembly(nets, table, no_clock, xc, yc, got, want))
+          << "round " << round << ", call " << call;
+      // What the round covered, on x: the first extremes as the old scan found them.
+      for (const auto& net : table) {
+        auto coord = [&xc](const db::PinTable::Pin& pin) {
+          return pin.inst == kInvalidId ? static_cast<double>(pin.offset.x)
+                                        : xc[static_cast<std::size_t>(pin.inst)];
+        };
+        std::size_t imin = 0, imax = 0;
+        for (std::size_t i = 1; i < net.size(); ++i) {
+          if (coord(net[i]) < coord(net[imin])) imin = i;
+          if (coord(net[i]) > coord(net[imax])) imax = i;
+        }
+        const double lo = coord(net[imin]), hi = coord(net[imax]);
+        const bool port_lo = net[imin].inst == kInvalidId;
+        const bool port_hi = net[imax].inst == kInvalidId;
+        port_min += port_lo ? 1 : 0;
+        port_max += port_hi ? 1 : 0;
+        port_both += port_lo && port_hi && lo != hi ? 1 : 0;
+        tied_min += std::count_if(net.begin(), net.end(),
+                                  [&](const auto& pin) { return coord(pin) == lo; }) > 1;
+        tied_max += std::count_if(net.begin(), net.end(),
+                                  [&](const auto& pin) { return coord(pin) == hi; }) > 1;
+        all_equal += lo == hi ? 1 : 0;
+        floored += lo != hi && hi - lo < 1.0 ? 1 : 0;
+        ++nets_seen;
+      }
+    }
+  }
+  EXPECT_GT(port_min, 500);
+  EXPECT_GT(port_max, 500);
+  EXPECT_GT(port_both, 200);
+  EXPECT_GT(tied_min, 1000);
+  EXPECT_GT(tied_max, 1000);
+  EXPECT_GT(all_equal, 300);
+  EXPECT_GT(floored, 300);
+  EXPECT_GT(repeated_cell, 500);
+  EXPECT_GT(nets_seen, 5000);
+}
+
+TEST(B2bNets, OneCellThroughTwoPins) {
+  // The cell is both extremes' partner: a self-edge, as the old loop added.
+  const std::vector<std::vector<db::PinTable::Pin>> table = {
+      {{0, Point{}}, {0, Point{}}},
+      {{1, Point{}}, {kInvalidId, Point{40, 7}}, {1, Point{}}, {0, Point{}}},
+  };
+  detail::B2bNets nets(2);
+  for (const auto& net : table) nets.add_net(net);
+  detail::QpSystem got, want;
+  const std::vector<char> no_clock(table.size(), 0);
+  ASSERT_TRUE(same_assembly(nets, table, no_clock, {5.0, 5.0}, {9.0, 2.0}, got, want));
+  ASSERT_FALSE(got.edges().empty());
+  EXPECT_EQ(got.edges()[0].a, 0);
+  EXPECT_EQ(got.edges()[0].b, 0);
+  EXPECT_THROW(nets.add_net(std::span<const db::PinTable::Pin>(table[0].data(), 1)), Error);
+}
+
+TEST(B2bNets, MatchesParentOnDesigns) {
+  Rng rng(41);
+  detail::QpSystem got, want;
+  for (const char* name : {"aes_360", "nova_300"}) {
+    const Design d = prepared_mlef_design(name, 0.04);
+    const db::PinTable pt(d);
+    std::vector<std::vector<db::PinTable::Pin>> table;
+    std::vector<char> clock_net;
+    int counted = 0, clocks = 0;
+    for (NetId nid = 0; nid < pt.num_nets(); ++nid) {
+      table.emplace_back(pt.pins(nid).begin(), pt.pins(nid).end());
+      clock_net.push_back(pt.is_clock(nid) ? 1 : 0);
+      clocks += pt.is_clock(nid) ? 1 : 0;
+      counted += !pt.is_clock(nid) && pt.pins(nid).size() >= 2 ? 1 : 0;
+    }
+    EXPECT_GT(clocks, 0) << name;
+    detail::B2bNets nets(d);
+    EXPECT_EQ(nets.num_nets(), counted) << name;
+    const Rect core = d.floorplan.core();
+    const auto n = static_cast<std::size_t>(d.netlist.num_instances());
+    for (int call = 0; call < 3; ++call) {
+      // Centres clamped into the core as the QP's are, so some tie.
+      std::vector<double> xc(n), yc(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        xc[i] = std::clamp(static_cast<double>(core.center().x) +
+                               static_cast<double>(core.width()) * rng.normal(),
+                           static_cast<double>(core.lo.x) + 1.0,
+                           static_cast<double>(core.hi.x) - 1.0);
+        yc[i] = std::clamp(static_cast<double>(core.center().y) +
+                               static_cast<double>(core.height()) * rng.normal(),
+                           static_cast<double>(core.lo.y) + 1.0,
+                           static_cast<double>(core.hi.y) - 1.0);
+      }
+      ASSERT_TRUE(same_assembly(nets, table, clock_net, xc, yc, got, want))
+          << name << ", call " << call;
+    }
   }
 }
 
@@ -760,6 +1034,32 @@ TEST(LookAhead, LastWindowSkipsRowsAsBefore) {
   }
   EXPECT_GT(past_short_row, 0);
   EXPECT_LT(row17_end, 300.0);  // row 17 had room throughout
+}
+
+TEST(LookAhead, RejectsRowsOfUnequalHeightOrWithGaps) {
+  std::vector<Row> rows;
+  for (Dbu r = 0; r < 4; ++r) rows.push_back(Row{5 + 10 * r, 10, 0, 100});
+  EXPECT_NO_THROW(detail::LookAhead(rows, {}));
+  std::vector<Row> taller = rows;
+  taller[3].height = 12;  // still gap-free
+  EXPECT_THROW(detail::LookAhead(taller, {}), Error);
+  std::vector<Row> gap = rows;
+  gap[2].y += 1;
+  gap[3].y += 1;
+  EXPECT_THROW(detail::LookAhead(gap, {}), Error);
+  std::vector<Row> flat = rows;
+  for (Row& row : flat) {
+    row.y = 5;
+    row.height = 0;
+  }
+  EXPECT_THROW(detail::LookAhead(flat, {}), Error);
+  EXPECT_THROW(detail::LookAhead({}, {}), Error);
+  // A mixed-height floorplan: rows a Floorplan holds outside mLEF space.
+  const Tech& tech = liberty::library_ref()->tech();
+  const Floorplan mixed = Floorplan::make_mixed(
+      Rect{{0, 0}, {100 * tech.site_width, 0}}, 0,
+      {TrackHeight::H6T, TrackHeight::H75T}, tech, tech.site_width);
+  EXPECT_THROW(detail::LookAhead(mixed.rows(), {}), Error);
 }
 
 TEST(LookAhead, MatchesParentOnPlacedDesigns) {
