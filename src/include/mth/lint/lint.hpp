@@ -98,8 +98,8 @@ enum class Rule {
   IhpwlFullScan,  ///< ihpwl-full-scan: total_hpwl() in a rap/legal loop
   RowRescan,      ///< row-rescan: row_at_y / sort in legal/polish|improve
   PinPositionLoop,  ///< pin-position-loop: pin_position() in a loop of the
-                    ///< legalizer and router files that read pins via
-                    ///< db::PinTable
+                    ///< legalizer, router and global placer files that read
+                    ///< pins via db::PinTable
   ParCaptureRace,  ///< par-capture-race: unindexed by-ref-capture write in a
                    ///< parallel worker lambda
   FpOrderedMerge,  ///< fp-ordered-merge: FP accumulation on captured state

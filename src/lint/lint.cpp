@@ -339,15 +339,18 @@ void rule_ihpwl_full_scan(Ctx& ctx, const std::string& module) {
 }
 
 void rule_pin_position_loop(Ctx& ctx) {
-  // The legalizer's hot loops and the router's per-net loop read pins
-  // through db::PinTable: one load of the instance position per pin, where
-  // Netlist::pin_position makes three bounds-checked lookups. Scoped to the
-  // files whose loops the table serves (legal/polish, legal/improve,
-  // rap/rclegal, route/router).
+  // The legalizer's hot loops, the router's per-net loop and the global
+  // placer's B2B net build read pins through db::PinTable: one load of the
+  // instance position per pin, where Netlist::pin_position makes three
+  // bounds-checked lookups. Scoped to the files whose loops the table serves
+  // (legal/polish, legal/improve, rap/rclegal, route/router, place/placer,
+  // place/gp_kernels).
   const bool hot = ctx.file.find("legal/polish") != std::string::npos ||
                    ctx.file.find("legal/improve") != std::string::npos ||
                    ctx.file.find("rap/rclegal") != std::string::npos ||
-                   ctx.file.find("route/router") != std::string::npos;
+                   ctx.file.find("route/router") != std::string::npos ||
+                   ctx.file.find("place/placer") != std::string::npos ||
+                   ctx.file.find("place/gp_kernels") != std::string::npos;
   if (!hot) return;
   const auto& T = ctx.scan.tokens;
   const std::vector<char> in_loop = loop_mask(T);
@@ -446,8 +449,8 @@ const char* rule_description(Rule r) {
              "neighbor queries go through legal::RowList.";
     case Rule::PinPositionLoop:
       return "Netlist::pin_position() inside a loop in legal/polish, "
-             "legal/improve, rap/rclegal or route/router; pins are read "
-             "through db::PinTable.";
+             "legal/improve, rap/rclegal, route/router, place/placer or "
+             "place/gp_kernels; pins are read through db::PinTable.";
     case Rule::ParCaptureRace:
       return "Parallel worker lambda writes through a by-reference capture "
              "to shared non-atomic state not indexed by a chunk/index "

@@ -448,6 +448,19 @@ TEST(PinPositionLoop, LookupInsideLegalizerLoopsPositiveHit) {
   )cpp");
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].rule, Rule::PinPositionLoop);
+  // So do the global placer and its B2B net build.
+  const auto g = run("src/place/placer.cpp", R"cpp(
+    for (NetId nid = 0; nid < design.netlist.num_nets(); ++nid) {
+      for (const PinRef& ref : design.netlist.net(nid).pins) {
+        xs.push_back(design.netlist.pin_position(ref, *design.library).x);
+      }
+    }
+  )cpp");
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_EQ(g[0].rule, Rule::PinPositionLoop);
+  EXPECT_TRUE(has_rule(run("src/place/gp_kernels.cpp",
+      "void f() { for (;;) { p = nl.pin_position(r, lib); } }\n"),
+      Rule::PinPositionLoop));
 }
 
 TEST(PinPositionLoop, OutsideLoopOrOtherFilesIsClean) {
@@ -472,6 +485,10 @@ TEST(PinPositionLoop, SuppressedHit) {
       "}\n");
   EXPECT_TRUE(f.empty());
   EXPECT_TRUE(run("src/route/router.cpp",
+      "for (;;) {\n"
+      "  Point p = nl.pin_position(r, lib);  // mth-lint: allow(pin-position-loop): fixture\n"
+      "}\n").empty());
+  EXPECT_TRUE(run("src/place/placer.cpp",
       "for (;;) {\n"
       "  Point p = nl.pin_position(r, lib);  // mth-lint: allow(pin-position-loop): fixture\n"
       "}\n").empty());
