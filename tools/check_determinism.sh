@@ -6,7 +6,7 @@
 # diff between the two runs (gtest timings are normalized away).
 #
 # The SIMD kernel layer gets the same treatment on a second axis: the suites
-# that exercise mth::simd call sites (rap, cluster, simd, db) are also run
+# that exercise mth::simd call sites (rap, cluster, simd, db, place) are also run
 # with MTH_SIMD=scalar and MTH_SIMD=auto and diffed — the dispatch choice
 # must be as unobservable as the thread count (simd.hpp contract).
 #
@@ -67,7 +67,7 @@ done
 # be indistinguishable in every suite that reaches a mth::simd call site.
 # (simd_test additionally compares the tiers in-process; this leg checks the
 # process-level dispatch path end to end.)
-for t in simd_test rap_test cluster_test db_test; do
+for t in simd_test rap_test cluster_test db_test place_test; do
   bin="$BUILD_DIR/tests/$t"
   echo "[determinism] $t: MTH_SIMD=scalar ..."
   MTH_SIMD=scalar "$bin" --gtest_filter="$FILTER" 2>&1 | normalize > "$TMP/$t.scalar"
